@@ -20,6 +20,7 @@ BenchDriver::BenchDriver(int argc, const char* const* argv,
                          const std::string& defaultSizes,
                          std::uint64_t defaultSeed)
     : opts_(argc, argv),
+      csvPath_(opts_.get("csv")),
       sizes_(parseSizeList(opts_.getString("sizes", defaultSizes))),
       seed_(opts_.getUInt("seed", defaultSeed)),
       seedsPerSize_(opts_.getUInt("seeds", 1)),
@@ -39,10 +40,9 @@ void BenchDriver::printHeader(const std::string& title) const {
 
 void BenchDriver::emit(const TextTable& table) const {
   std::cout << table.render() << '\n';
-  if (opts_.has("csv")) {
-    const std::string path = opts_.getString("csv", "bench.csv");
-    writeCsv(path, table);
-    std::cout << "wrote CSV to " << path << '\n';
+  if (csvPath_) {
+    writeCsv(*csvPath_, table);
+    std::cout << "wrote CSV to " << *csvPath_ << '\n';
   }
 }
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,7 @@ class BenchDriver {
 
  private:
   Options opts_;
+  std::optional<std::string> csvPath_;  // read up front, written by emit()
   std::vector<std::size_t> sizes_;
   std::uint64_t seed_;
   std::size_t seedsPerSize_;

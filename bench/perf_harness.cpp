@@ -8,8 +8,10 @@
 // machine-readable JSON:
 //
 //   BENCH_kernels.json — per-kernel ns/op and GiB/s
-//   BENCH_sweep.json   — sweep wall times, the batch speedup factors,
-//                        and search-core telemetry
+//   BENCH_sweep.json   — sweep wall times, one-game times of the two
+//                        hottest search adversaries (greedy-delay and
+//                        local-search at n=128), the batch speedup
+//                        factors, and search-core telemetry
 //
 // CI's bench-smoke job runs `perf_harness --quick --csv=...`, uploads the
 // JSONs as artifacts, and gates on bench/baseline.json via
@@ -21,12 +23,14 @@
 //   --quick        CI mode: smaller sweep size and shorter kernel reps
 //   --out=DIR      directory for the BENCH_*.json files (default ".")
 //   --sweep-n=N    portfolio sweep size (default 256; 96 with --quick)
+// Any other flag is rejected before anything runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,6 +39,7 @@
 #include "bench/driver.h"
 #include "src/adversary/adaptive.h"
 #include "src/adversary/beam.h"
+#include "src/adversary/local_search.h"
 #include "src/adversary/lookahead.h"
 #include "src/adversary/oblivious.h"
 #include "src/adversary/portfolio.h"
@@ -320,6 +325,30 @@ double timePortfolioSweep(std::size_t n, std::uint64_t seed,
   return ms;
 }
 
+/// The two search adversaries that take most of the thm31 portfolio's
+/// busy time, each timed over one full game at a FIXED n (same in quick
+/// and full mode) and seed. One run each, not gated: single-thread times
+/// on a shared host drift by about 20% over minutes.
+struct AdversaryGameTiming {
+  std::size_t n = 128;
+  double greedyDelayMs = 0.0;
+  double localSearchMs = 0.0;
+};
+
+AdversaryGameTiming timeAdversaryGames(std::uint64_t seed) {
+  AdversaryGameTiming t;
+  const auto timeGame = [&](Adversary& adversary) {
+    const auto start = Clock::now();
+    (void)runAdversary(t.n, adversary, defaultRoundCap(t.n));
+    return secondsSince(start) * 1e3;
+  };
+  GreedyDelayAdversary greedy(t.n, seed);
+  t.greedyDelayMs = timeGame(greedy);
+  LocalSearchPathAdversary localSearch(t.n, seed);
+  t.localSearchMs = timeGame(localSearch);
+  return t;
+}
+
 /// Batched vs scalar end-to-end engine sweep: the same 8 replicates of
 /// three oblivious members at one n, once with batch=off and once with
 /// batch=8, at jobs=1 so the ratio isolates batching from thread-pool
@@ -494,7 +523,9 @@ void writeKernelsJson(const std::string& path,
 
 void writeSweepJson(const std::string& path, std::size_t n,
                     std::uint64_t seed, bool quick, double portfolioMs,
-                    std::size_t bestRounds, double batchRoundSpeedup,
+                    std::size_t bestRounds,
+                    const AdversaryGameTiming& games,
+                    double batchRoundSpeedup,
                     const BatchSweepTiming& batchSweep,
                     double productSpeedup, std::size_t productN,
                     const FrontierCrossover& frontier,
@@ -512,6 +543,9 @@ void writeSweepJson(const std::string& path, std::size_t n,
   std::fprintf(f, "  \"simd_level\": \"%s\",\n",
                bitword::simdLevelName(bitword::dispatch().level));
   std::fprintf(f, "  \"portfolio_ms\": %.3f,\n", portfolioMs);
+  std::fprintf(f, "  \"adversary_game_n\": %zu,\n", games.n);
+  std::fprintf(f, "  \"greedy_delay_ms\": %.3f,\n", games.greedyDelayMs);
+  std::fprintf(f, "  \"local_search_ms\": %.3f,\n", games.localSearchMs);
   std::fprintf(f, "  \"batch_width\": %zu,\n", kBatchBenchWidth);
   std::fprintf(f, "  \"batch_round_speedup\": %.4f,\n", batchRoundSpeedup);
   std::fprintf(f, "  \"batch_scalar_ms\": %.3f,\n", batchSweep.scalarMs);
@@ -580,6 +614,12 @@ int main(int argc, char** argv) {
   const std::size_t sweepN =
       driver.options().getUInt("sweep-n", quick ? 96 : 256);
   const double minSeconds = quick ? 0.05 : 0.25;
+  try {
+    driver.options().rejectUnread();  // e.g. --help: fail, don't run
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "perf_harness: " << e.what() << '\n';
+    return 2;
+  }
 
   driver.printHeader("PERF — kernel throughput + portfolio sweep telemetry");
   std::cout << "simd dispatch: "
@@ -627,6 +667,7 @@ int main(int argc, char** argv) {
   std::size_t bestRounds = 0;
   const double portfolioMs =
       timePortfolioSweep(sweepN, driver.seed(), &bestRounds);
+  const AdversaryGameTiming games = timeAdversaryGames(driver.seed());
   const BatchSweepTiming batchSweep =
       timeBatchedSweep(sweepN, driver.seed());
   TextTable sweepTable({"n", "portfolio ms", "best t*", "scalar ms",
@@ -638,6 +679,15 @@ int main(int argc, char** argv) {
       .add(batchSweep.scalarMs, 1)
       .add(batchSweep.batchedMs, 1)
       .add(batchSweep.scalarMs / batchSweep.batchedMs, 2);
+  TextTable gameTable({"adversary game", "n", "ms"});
+  gameTable.row()
+      .add(std::string("greedy-delay"))
+      .add(static_cast<std::uint64_t>(games.n))
+      .add(games.greedyDelayMs, 1);
+  gameTable.row()
+      .add(std::string("local-search"))
+      .add(static_cast<std::uint64_t>(games.n))
+      .add(games.localSearchMs, 1);
 
   // --- search core: beam witness + lookahead transposition telemetry -
   const SearchTelemetry search = timeSearchTelemetry(driver.seed());
@@ -684,6 +734,7 @@ int main(int argc, char** argv) {
   // numbers live in BENCH_sweep.json, which is the machine-readable copy.
   driver.emit(kernelTable);
   std::cout << '\n' << sweepTable.render() << '\n';
+  std::cout << '\n' << gameTable.render() << '\n';
   std::cout << '\n' << searchTable.render() << '\n';
   std::cout << '\n' << serviceTable.render() << '\n';
   std::cout << '\n' << frontierTable.render() << '\n';
@@ -691,7 +742,7 @@ int main(int argc, char** argv) {
   writeKernelsJson(outDir + "/BENCH_kernels.json", kernels, quick,
                    driver.jobs());
   writeSweepJson(outDir + "/BENCH_sweep.json", sweepN, driver.seed(), quick,
-                 portfolioMs, bestRounds, batchRoundSpeedup, batchSweep,
+                 portfolioMs, bestRounds, games, batchRoundSpeedup, batchSweep,
                  productSpeedup, productN, frontier, search, service);
   return 0;
 }

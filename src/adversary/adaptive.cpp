@@ -1,7 +1,6 @@
 #include "src/adversary/adaptive.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "src/support/assert.h"
@@ -21,6 +20,60 @@ std::vector<std::size_t> coverageCounts(const BroadcastSim& state) {
   }
   return coverage;
 }
+
+std::vector<std::size_t> identityOrder(std::size_t n) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  return order;
+}
+
+std::vector<std::size_t> topLeaders(const std::vector<std::size_t>& coverage,
+                                    std::size_t depth) {
+  std::vector<std::size_t> ids = identityOrder(coverage.size());
+  const std::size_t take = std::min(depth, ids.size());
+  std::partial_sort(ids.begin(),
+                    ids.begin() + static_cast<std::ptrdiff_t>(take),
+                    ids.end(), [&](std::size_t a, std::size_t b) {
+                      if (coverage[a] != coverage[b]) {
+                        return coverage[a] > coverage[b];
+                      }
+                      return a < b;
+                    });
+  ids.resize(take);
+  return ids;
+}
+
+std::vector<std::size_t> heardSizeOrder(const BroadcastSim& state,
+                                        bool ascending) {
+  const std::size_t n = state.processCount();
+  std::vector<std::size_t> order = identityOrder(n);
+  std::vector<std::size_t> heardSize(n);
+  for (std::size_t y = 0; y < n; ++y) {
+    heardSize[y] = state.heardCount(y);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return ascending ? heardSize[a] < heardSize[b]
+                                      : heardSize[a] > heardSize[b];
+                   });
+  return order;
+}
+
+namespace {
+
+/// Fills the coverage-derived fields of `score` from the post-round
+/// coverage, summing the potential in ascending process id.
+void scoreCoverage(const std::vector<std::size_t>& coverage,
+                   DelayScore& score) {
+  const std::size_t n = coverage.size();
+  for (const std::size_t c : coverage) {
+    score.maxCoverage = std::max(score.maxCoverage, c);
+    if (c == n) score.finishes = true;
+    score.potential += potentialTerm(c);
+  }
+}
+
+}  // namespace
 
 DelayScore evaluateCandidate(const std::vector<DynBitset>& heard,
                              const std::vector<std::size_t>& coverage,
@@ -59,12 +112,38 @@ DelayScore evaluateCandidate(const std::vector<DynBitset>& heard,
                                  });
     scratch.heard[y].orWith(scratch.heard[p]);
   }
-  for (const std::size_t c : scratch.coverage) {
-    score.maxCoverage = std::max(score.maxCoverage, c);
-    if (c == n) score.finishes = true;
-    score.potential +=
-        std::exp2(static_cast<double>(std::min<std::size_t>(c, 50)));
+  scoreCoverage(scratch.coverage, score);
+  return score;
+}
+
+DelayScore evaluatePathOrder(const std::vector<DynBitset>& heard,
+                             const std::vector<std::size_t>& coverage,
+                             const std::vector<std::size_t>& order,
+                             EvalScratch& scratch) {
+  const std::size_t n = heard.size();
+  DYNBCAST_ASSERT(n > 0 && coverage.size() == n);
+  DYNBCAST_ASSERT_MSG(order.size() == n, "order must be a permutation");
+  scratch.seen.assign(n, 0);
+  for (const std::size_t v : order) {
+    DYNBCAST_ASSERT_MSG(v < n && scratch.seen[v] == 0,
+                        "order must be a permutation");
+    scratch.seen[v] = 1;
   }
+  // Process order[i] learns heard[order[i-1]] \ heard[order[i]] from the
+  // start-of-round rows (see the header), in ascending x per hop exactly
+  // as evaluateCandidate iterates it.
+  scratch.coverage.assign(coverage.begin(), coverage.end());
+  DelayScore score;
+  const std::size_t nwords = heard[0].wordCount();
+  for (std::size_t i = 1; i < n; ++i) {
+    bitword::forEachInDifference(heard[order[i - 1]].wordData(),
+                                 heard[order[i]].wordData(), nwords,
+                                 [&](std::size_t x) {
+                                   ++scratch.coverage[x];
+                                   ++score.newEdges;
+                                 });
+  }
+  scoreCoverage(scratch.coverage, score);
   return score;
 }
 
@@ -90,64 +169,92 @@ std::vector<std::size_t> freezeOrdering(
   return order;
 }
 
-namespace {
+void DamageCache::bind(const std::vector<DynBitset>& heard,
+                       const std::vector<std::size_t>& coverage) {
+  bindWeights(heard, coverage, 0.0, nullptr);
+}
 
-RootedTree buildDamageTreeImpl(const BroadcastSim& state,
-                               const std::vector<std::size_t>& coverage,
-                               std::size_t root, double noiseAmplitude,
-                               Rng* rng) {
-  const std::size_t n = state.processCount();
-  DYNBCAST_ASSERT(root < n && coverage.size() == n);
-  // Exponential coverage weights: leaking a process with coverage c costs
-  // 2^min(c, 50); a process at coverage n−1 would finish the game, so it
-  // dominates every other consideration. Optional multiplicative noise
-  // diversifies the construction for search adversaries.
-  std::vector<double> weight(n);
+void DamageCache::bindNoisy(const std::vector<DynBitset>& heard,
+                            const std::vector<std::size_t>& coverage,
+                            double amplitude, Rng& rng) {
+  bindWeights(heard, coverage, amplitude, &rng);
+}
+
+void DamageCache::bindWeights(const std::vector<DynBitset>& heard,
+                              const std::vector<std::size_t>& coverage,
+                              double amplitude, Rng* rng) {
+  const std::size_t n = heard.size();
+  DYNBCAST_ASSERT(n > 0 && coverage.size() == n);
+  if (n != n_) {
+    n_ = n;
+    weight_.resize(n);
+    value_.resize(n * n);
+    stamp_.assign(n * n, 0);
+    bestCost_.resize(n);
+    attached_.resize(n);
+    generation_ = 0;
+  }
+  // A new generation invalidates every memoized entry at once; on the
+  // (4-billion-bind) wrap-around the stamps are cleared for real.
+  if (++generation_ == 0) {
+    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    generation_ = 1;
+  }
+  heard_ = &heard;
+  nwords_ = heard[0].wordCount();
   for (std::size_t x = 0; x < n; ++x) {
-    const double capped = static_cast<double>(std::min<std::size_t>(
-        coverage[x], 50));
-    weight[x] = std::exp2(capped) * (coverage[x] + 1 >= n ? 1e6 : 1.0);
-    if (noiseAmplitude > 0.0 && rng != nullptr) {
-      weight[x] *= 1.0 + noiseAmplitude * rng->uniformReal();
+    weight_[x] =
+        potentialTerm(coverage[x]) * (coverage[x] + 1 >= n ? 1e6 : 1.0);
+    if (amplitude > 0.0 && rng != nullptr) {
+      weight_[x] *= 1.0 + amplitude * rng->uniformReal();
     }
   }
-  // Prim evaluates O(n²) candidate edges, so the per-edge delta must not
-  // allocate: the kernel iterates (p & ~y) straight off the raw words in
-  // ascending bit order, accumulating the weights in one pass.
-  const std::size_t nwords = state.heardBy(0).wordCount();
-  const auto damage = [&](std::size_t p, std::size_t y) {
+}
+
+double DamageCache::damage(std::size_t p, std::size_t y) {
+  const std::size_t at = p * n_ + y;
+  if (stamp_[at] != generation_) {
+    // Ascending-x accumulation straight off the raw words: the summation
+    // order, and so every rounding, is the same for every caller.
     double d = 0.0;
-    bitword::forEachInDifference(state.heardBy(p).wordData(),
-                                 state.heardBy(y).wordData(), nwords,
-                                 [&](std::size_t x) { d += weight[x]; });
-    return d;
-  };
+    bitword::forEachInDifference((*heard_)[p].wordData(),
+                                 (*heard_)[y].wordData(), nwords_,
+                                 [&](std::size_t x) { d += weight_[x]; });
+    value_[at] = d;
+    stamp_[at] = generation_;
+  }
+  return value_[at];
+}
+
+RootedTree DamageCache::tree(std::size_t root) {
+  DYNBCAST_ASSERT(heard_ != nullptr && root < n_);
+  const std::size_t n = n_;
   // Prim's algorithm over the complete damage graph: heard sets are
   // start-of-round snapshots, so edge costs never change mid-build.
   std::vector<std::size_t> parent(n, n);
-  std::vector<double> bestCost(n, 0.0);
-  std::vector<bool> attached(n, false);
+  std::fill(attached_.begin(), attached_.end(), std::uint8_t{0});
   parent[root] = root;
-  attached[root] = true;
+  attached_[root] = 1;
   for (std::size_t y = 0; y < n; ++y) {
     if (y != root) {
       parent[y] = root;
-      bestCost[y] = damage(root, y);
+      bestCost_[y] = damage(root, y);
     }
   }
   for (std::size_t step = 1; step < n; ++step) {
     std::size_t pick = n;
     for (std::size_t y = 0; y < n; ++y) {
-      if (!attached[y] && (pick == n || bestCost[y] < bestCost[pick])) {
+      if (attached_[y] == 0 &&
+          (pick == n || bestCost_[y] < bestCost_[pick])) {
         pick = y;
       }
     }
-    attached[pick] = true;
+    attached_[pick] = 1;
     for (std::size_t y = 0; y < n; ++y) {
-      if (!attached[y]) {
+      if (attached_[y] == 0) {
         const double c = damage(pick, y);
-        if (c < bestCost[y]) {
-          bestCost[y] = c;
+        if (c < bestCost_[y]) {
+          bestCost_[y] = c;
           parent[y] = pick;
         }
       }
@@ -155,49 +262,6 @@ RootedTree buildDamageTreeImpl(const BroadcastSim& state,
   }
   return RootedTree(root, std::move(parent));
 }
-
-}  // namespace
-
-RootedTree buildDamageGreedyTree(const BroadcastSim& state,
-                                 const std::vector<std::size_t>& coverage,
-                                 std::size_t root) {
-  return buildDamageTreeImpl(state, coverage, root, 0.0, nullptr);
-}
-
-RootedTree buildNoisyDamageTree(const BroadcastSim& state,
-                                const std::vector<std::size_t>& coverage,
-                                std::size_t root, double amplitude,
-                                Rng& rng) {
-  return buildDamageTreeImpl(state, coverage, root, amplitude, &rng);
-}
-
-namespace {
-
-std::vector<std::size_t> identityOrder(std::size_t n) {
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  return order;
-}
-
-/// Top-`depth` coverage leaders, highest coverage first (ties by id).
-std::vector<std::size_t> topLeaders(const std::vector<std::size_t>& coverage,
-                                    std::size_t depth) {
-  std::vector<std::size_t> ids(coverage.size());
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  const std::size_t take = std::min(depth, ids.size());
-  std::partial_sort(ids.begin(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](std::size_t a, std::size_t b) {
-                      if (coverage[a] != coverage[b]) {
-                        return coverage[a] > coverage[b];
-                      }
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
-}  // namespace
 
 FreezePathAdversary::FreezePathAdversary(std::size_t n, std::size_t depth)
     : n_(n), depth_(depth), order_(identityOrder(n)) {
@@ -242,17 +306,7 @@ HeardOrderPathAdversary::HeardOrderPathAdversary(std::size_t n,
 
 RootedTree HeardOrderPathAdversary::nextTree(const BroadcastSim& state) {
   DYNBCAST_ASSERT(state.processCount() == n_);
-  std::vector<std::size_t> order = identityOrder(n_);
-  std::vector<std::size_t> heardSize(n_);
-  for (std::size_t y = 0; y < n_; ++y) {
-    heardSize[y] = state.heardCount(y);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return ascending_ ? heardSize[a] < heardSize[b]
-                                       : heardSize[a] > heardSize[b];
-                   });
-  return makePath(order);
+  return makePath(heardSizeOrder(state, ascending_));
 }
 
 std::string HeardOrderPathAdversary::name() const {
@@ -296,10 +350,8 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
     orders.push_back(std::move(tailToHead));
   }
   if (config_.includeHeardOrders) {
-    HeardOrderPathAdversary asc(n_, true);
-    HeardOrderPathAdversary desc(n_, false);
-    orders.push_back(asc.nextTree(state).bfsOrder());
-    orders.push_back(desc.nextTree(state).bfsOrder());
+    orders.push_back(heardSizeOrder(state, true));
+    orders.push_back(heardSizeOrder(state, false));
   }
   for (std::size_t i = 0; i < config_.randomPaths; ++i) {
     orders.push_back(rng_.permutation(n_));
@@ -345,21 +397,23 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
     while (roots.size() < config_.damageTreeRoots) {
       roots.push_back(rng_.uniform(n_));
     }
+    damage_.bind(heard, coverage);
     for (const std::size_t r : roots) {
-      extraTrees.push_back(buildDamageGreedyTree(state, coverage, r));
+      extraTrees.push_back(damage_.tree(r));
     }
   }
 
   // Evaluate everything; prefer path candidates on ties (stability).
-  // All evaluations share the adversary's scratch arena — zero
-  // allocations per candidate once the buffers are warm.
+  // Paths are scored straight from their orders; all evaluations share
+  // the adversary's scratch arena — zero allocations per candidate once
+  // the buffers are warm.
   bool bestIsPath = true;
   std::size_t bestIdx = 0;
   DelayScore bestScore =
-      evaluateCandidate(heard, coverage, makePath(orders[0]), scratch_);
+      evaluatePathOrder(heard, coverage, orders[0], scratch_);
   for (std::size_t i = 1; i < orders.size(); ++i) {
     const DelayScore s =
-        evaluateCandidate(heard, coverage, makePath(orders[i]), scratch_);
+        evaluatePathOrder(heard, coverage, orders[i], scratch_);
     if (s < bestScore) {
       bestScore = s;
       bestIdx = i;

@@ -29,6 +29,8 @@
 // least damaging tree.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -42,6 +44,33 @@ namespace dynbcast {
 /// done exactly when some coverage[x] == n.
 [[nodiscard]] std::vector<std::size_t> coverageCounts(
     const BroadcastSim& state);
+
+/// 2^min(c, 50): one process's term of DelayScore::potential and of the
+/// damage-tree weights, read from a table. Every entry is an exact power
+/// of two, so the table equals std::exp2(k) for k = 0..50 bit for bit.
+[[nodiscard]] inline double potentialTerm(std::size_t coverage) {
+  static constexpr std::array<double, 51> kTable = [] {
+    std::array<double, 51> table{};
+    for (std::size_t k = 0; k < table.size(); ++k) {
+      table[k] = static_cast<double>(std::uint64_t{1} << k);
+    }
+    return table;
+  }();
+  return kTable[std::min<std::size_t>(coverage, kTable.size() - 1)];
+}
+
+/// The identity order 0, 1, …, n−1 (the initial path of every
+/// order-carrying adversary).
+[[nodiscard]] std::vector<std::size_t> identityOrder(std::size_t n);
+
+/// Top-`depth` coverage leaders, highest coverage first (ties by id).
+[[nodiscard]] std::vector<std::size_t> topLeaders(
+    const std::vector<std::size_t>& coverage, std::size_t depth);
+
+/// Processes sorted by |Heard| (ascending or descending), ties kept in id
+/// order: HeardOrderPathAdversary's path, as an order.
+[[nodiscard]] std::vector<std::size_t> heardSizeOrder(
+    const BroadcastSim& state, bool ascending);
 
 /// One-round damage assessment of a candidate tree, ordered so that
 /// "smaller is better for the adversary" (lexicographic comparison).
@@ -86,11 +115,27 @@ struct DelayScore {
 /// which is reused across calls. On return, scratch.heard holds the
 /// candidate's post-round heard matrix and scratch.coverage its
 /// post-round coverage — callers that keep a successor state (beam,
-/// lookahead) copy from there instead of re-applying the tree.
+/// lookahead) copy from there instead of re-applying the tree. This is
+/// the only evaluator that materializes the successor heard matrix.
 [[nodiscard]] DelayScore evaluateCandidate(
     const std::vector<DynBitset>& heard,
     const std::vector<std::size_t>& coverage, const RootedTree& tree,
     EvalScratch& scratch);
+
+/// Scores the path order[0] → order[1] → … straight from the order, equal
+/// field for field to evaluateCandidate(heard, coverage, makePath(order)).
+///
+/// A round is one hop: heard'[y] = heard[y] ∪ heard[parent(y)] with the
+/// parents' START-of-round rows, so on a path process order[i] learns
+/// exactly heard[order[i−1]] \ heard[order[i]], and those differences
+/// are all the coverage growth there is. No heard-matrix copy, BFS or
+/// RootedTree is built; scratch.coverage receives the post-round
+/// coverage and scratch.heard is left untouched. Throws AssertionError
+/// unless `order` is a permutation of 0..n−1 (the check makePath makes).
+[[nodiscard]] DelayScore evaluatePathOrder(
+    const std::vector<DynBitset>& heard,
+    const std::vector<std::size_t>& coverage,
+    const std::vector<std::size_t>& order, EvalScratch& scratch);
 
 /// Path adversary that freezes the top-`depth` coverage leaders with
 /// nested knower/non-knower blocks, applied as a STABLE partition of the
@@ -146,6 +191,59 @@ class HeardOrderPathAdversary final : public Adversary {
   bool ascending_;
 };
 
+/// Damage-greedy trees over one memoized pairwise damage table.
+///
+/// Attaching y under p leaks heard[p] \ heard[y] to y; the damage of that
+/// edge is Σ weight[x] over the leaked x, where weight[x] = 2^min(cov, 50)
+/// (times 10^6 for a process one step from broadcast) — teaching a
+/// near-complete process is catastrophic. tree(root) attaches nodes
+/// Prim-style, each to the attached parent that teaches it the least.
+/// This mirrors the balanced-coverage structure of exact optimal play,
+/// which uses general branching trees rather than paths.
+///
+/// damage(p, y) is computed at most once per bind, with the sum taken in
+/// ascending x, so every tree a caller builds from one state and weight
+/// vector shares the pairwise work and stays bit-identical (sums and
+/// tie-breaks included) to a fresh computation. Storage is reused across
+/// binds and invalidated by a generation stamp: after the first bind at
+/// a given n, binding and building allocate nothing but the returned
+/// tree. It costs n²·(8+4) B per owner (192 KiB at n = 128).
+class DamageCache {
+ public:
+  /// Binds to `heard` with the plain exponential weights of `coverage`.
+  /// tree() reads `heard`, so it must stay alive and unchanged until the
+  /// next bind.
+  void bind(const std::vector<DynBitset>& heard,
+            const std::vector<std::size_t>& coverage);
+
+  /// Same, with each weight multiplied by 1 + amplitude·U[0, 1), drawn
+  /// from `rng` in process-id order (none when amplitude is 0). The
+  /// noise diversifies the trees for search adversaries (beam, exact
+  /// solver), which rely on it for structured-but-diverse move pools.
+  void bindNoisy(const std::vector<DynBitset>& heard,
+                 const std::vector<std::size_t>& coverage, double amplitude,
+                 Rng& rng);
+
+  /// The damage-greedy tree rooted at `root` over the bound state.
+  [[nodiscard]] RootedTree tree(std::size_t root);
+
+ private:
+  void bindWeights(const std::vector<DynBitset>& heard,
+                   const std::vector<std::size_t>& coverage,
+                   double amplitude, Rng* rng);
+  [[nodiscard]] double damage(std::size_t p, std::size_t y);
+
+  const std::vector<DynBitset>* heard_ = nullptr;
+  std::size_t n_ = 0;
+  std::size_t nwords_ = 0;
+  std::vector<double> weight_;
+  std::vector<double> value_;          // damage(p, y) at p·n + y
+  std::vector<std::uint32_t> stamp_;   // generation that computed value_
+  std::uint32_t generation_ = 0;
+  std::vector<double> bestCost_;       // Prim working state
+  std::vector<std::uint8_t> attached_;
+};
+
 /// Configuration for GreedyDelayAdversary's candidate pool.
 struct GreedyDelayConfig {
   std::size_t freezeDepthMax = 4;  ///< stable freezes with depth 1..max
@@ -177,6 +275,7 @@ class GreedyDelayAdversary final : public Adversary {
   GreedyDelayConfig config_;
   std::vector<std::size_t> order_;
   EvalScratch scratch_;  // reused across all candidate evaluations
+  DamageCache damage_;   // shared by the round's damage-tree roots
 };
 
 /// Builds the stable freeze ordering over `baseOrder`: every process that
@@ -186,23 +285,5 @@ class GreedyDelayAdversary final : public Adversary {
 [[nodiscard]] std::vector<std::size_t> freezeOrdering(
     const BroadcastSim& state, const std::vector<std::size_t>& leaders,
     const std::vector<std::size_t>& baseOrder);
-
-/// Builds the damage-greedy tree rooted at `root`: nodes are attached
-/// Prim-style, each to the already-attached parent that teaches it the
-/// least, where teaching process x costs exponentially in x's current
-/// coverage (a process one step from broadcast is catastrophic to leak).
-/// This mirrors the balanced-coverage structure of exact optimal play,
-/// which uses general branching trees rather than paths.
-[[nodiscard]] RootedTree buildDamageGreedyTree(
-    const BroadcastSim& state, const std::vector<std::size_t>& coverage,
-    std::size_t root);
-
-/// Randomized variant of buildDamageGreedyTree: per-process weights are
-/// multiplied by noise in [1, 1+amplitude), so repeated calls explore
-/// different balanced-coverage trees. Search adversaries (beam, MCTS-
-/// style rollouts) rely on this for structured-but-diverse move pools.
-[[nodiscard]] RootedTree buildNoisyDamageTree(
-    const BroadcastSim& state, const std::vector<std::size_t>& coverage,
-    std::size_t root, double amplitude, Rng& rng);
 
 }  // namespace dynbcast

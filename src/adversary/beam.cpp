@@ -1,8 +1,6 @@
 #include "src/adversary/beam.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -41,38 +39,21 @@ struct Candidate {
 
 double potentialOfCoverage(const std::vector<std::size_t>& cov) {
   double p = 0.0;
-  for (const std::size_t c : cov) {
-    p += std::exp2(static_cast<double>(std::min<std::size_t>(c, 50)));
-  }
+  for (const std::size_t c : cov) p += potentialTerm(c);
   return p;
 }
 
-std::vector<std::size_t> topLeaders(const std::vector<std::size_t>& coverage,
-                                    std::size_t depth) {
-  std::vector<std::size_t> ids(coverage.size());
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  const std::size_t take = std::min(depth, ids.size());
-  std::partial_sort(ids.begin(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](std::size_t a, std::size_t b) {
-                      if (coverage[a] != coverage[b]) {
-                        return coverage[a] > coverage[b];
-                      }
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
+/// The plain damage-greedy roots share one bind of `damage`; each noisy
+/// tree draws its own weights and so rebinds.
 std::vector<RootedTree> movesFor(const FrontierState& state, Rng& rng,
-                                 const BeamConfig& config) {
+                                 const BeamConfig& config,
+                                 DamageCache& damage) {
   const std::size_t n = state.heard.size();
   std::vector<RootedTree> moves;
   if (config.structuredMoves) {
     const BroadcastSim sim =
         BroadcastSim::fromHeard(std::vector<DynBitset>(state.heard));
-    std::vector<std::size_t> base(n);
-    std::iota(base.begin(), base.end(), std::size_t{0});
+    const std::vector<std::size_t> base = identityOrder(n);
     moves.push_back(
         makePath(freezeOrdering(sim, topLeaders(state.coverage, 1), base)));
     moves.push_back(
@@ -80,20 +61,18 @@ std::vector<RootedTree> movesFor(const FrontierState& state, Rng& rng,
     const std::size_t minCov = static_cast<std::size_t>(
         std::min_element(state.coverage.begin(), state.coverage.end()) -
         state.coverage.begin());
-    moves.push_back(buildDamageGreedyTree(sim, state.coverage, minCov));
-    moves.push_back(
-        buildDamageGreedyTree(sim, state.coverage, rng.uniform(n)));
+    damage.bind(state.heard, state.coverage);
+    moves.push_back(damage.tree(minCov));
+    moves.push_back(damage.tree(rng.uniform(n)));
     // Noisy damage trees: balanced-coverage structure with variety — the
     // beam's main exploration device (plain random trees are too weak).
     for (std::size_t i = 0; i < config.randomMovesPerState; ++i) {
+      const std::size_t root = rng.uniform(n);
       if (config.noiseAmplitude > 0.0) {
-        moves.push_back(buildNoisyDamageTree(
-            sim, state.coverage, rng.uniform(n), config.noiseAmplitude,
-            rng));
-      } else {
-        moves.push_back(
-            buildDamageGreedyTree(sim, state.coverage, rng.uniform(n)));
+        damage.bindNoisy(state.heard, state.coverage, config.noiseAmplitude,
+                         rng);
       }
+      moves.push_back(damage.tree(root));
     }
   }
   for (std::size_t i = 0; i < config.randomMovesPerState / 2 + 1; ++i) {
@@ -162,6 +141,7 @@ BeamResult beamSearchWitness(std::size_t n, std::uint64_t seed,
   // and survivors copy their post-move state straight out of the scratch
   // instead of re-applying the tree to a fresh matrix.
   EvalScratch scratch = EvalScratch::forProcessCount(n);
+  DamageCache damage;
   // The final move of any lineage completes broadcast, so the achieved
   // rounds = (levels survived) + 1; expanding only while survived + 1 <
   // cap keeps the reported rounds within the documented maxRounds cap.
@@ -170,7 +150,7 @@ BeamResult beamSearchWitness(std::size_t n, std::uint64_t seed,
     std::vector<Candidate> successors;
     table.clear();
     for (FrontierState& state : frontier) {
-      std::vector<RootedTree> moves = movesFor(state, rng, config);
+      std::vector<RootedTree> moves = movesFor(state, rng, config, damage);
       for (std::size_t mi = 0; mi < moves.size(); ++mi) {
         ++result.movesGenerated;
         if (isDuplicateMove(moves, mi)) continue;

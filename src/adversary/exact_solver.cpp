@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstring>
-#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -453,6 +452,7 @@ struct StructuredWitness {
   std::unordered_map<Rows, std::size_t, RowsHash> failedAt{};
   std::uint64_t nodes = 0;
   EvalScratch scratch{};
+  DamageCache damage{};
 
   static Rows heardToRows(const std::vector<DynBitset>& heard) {
     Rows out{};
@@ -470,31 +470,18 @@ struct StructuredWitness {
                                    const std::vector<std::size_t>& coverage,
                                    std::uint64_t nodeSeed) {
     std::vector<RootedTree> pool;
+    // All n roots share one bind: the pairwise damage is computed once
+    // per node instead of once per root.
+    damage.bind(sim.heardMatrix(), coverage);
     for (std::size_t r = 0; r < n; ++r) {
-      pool.push_back(buildDamageGreedyTree(sim, coverage, r));
+      pool.push_back(damage.tree(r));
     }
-    std::vector<std::size_t> base(n);
-    std::iota(base.begin(), base.end(), std::size_t{0});
+    const std::vector<std::size_t> base = identityOrder(n);
     for (std::size_t d = 1; d <= 3 && d < n; ++d) {
-      std::vector<std::size_t> ids(n);
-      std::iota(ids.begin(), ids.end(), std::size_t{0});
-      std::partial_sort(ids.begin(),
-                        ids.begin() + static_cast<std::ptrdiff_t>(d),
-                        ids.end(), [&](std::size_t a, std::size_t b) {
-                          if (coverage[a] != coverage[b]) {
-                            return coverage[a] > coverage[b];
-                          }
-                          return a < b;
-                        });
-      ids.resize(d);
-      pool.push_back(makePath(freezeOrdering(sim, ids, base)));
+      pool.push_back(makePath(freezeOrdering(sim, topLeaders(coverage, d),
+                                             base)));
     }
-    std::vector<std::size_t> asc(n);
-    std::iota(asc.begin(), asc.end(), std::size_t{0});
-    std::stable_sort(asc.begin(), asc.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return sim.heardCount(a) < sim.heardCount(b);
-                     });
+    std::vector<std::size_t> asc = heardSizeOrder(sim, true);
     pool.push_back(makePath(asc));
     std::reverse(asc.begin(), asc.end());
     pool.push_back(makePath(asc));
@@ -502,8 +489,9 @@ struct StructuredWitness {
     // so revisits expand identically and the search stays reproducible.
     Rng rng(nodeSeed);
     for (std::size_t i = 0; i < opts.noisyMovesPerNode; ++i) {
-      pool.push_back(
-          buildNoisyDamageTree(sim, coverage, rng.uniform(n), 8.0, rng));
+      const std::size_t root = rng.uniform(n);
+      damage.bindNoisy(sim.heardMatrix(), coverage, 8.0, rng);
+      pool.push_back(damage.tree(root));
     }
     return pool;
   }

@@ -1,41 +1,11 @@
 #include "src/adversary/local_search.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/support/assert.h"
 #include "src/tree/families.h"
 
 namespace dynbcast {
-
-namespace {
-
-/// Top-coverage ids, highest first (duplicated from adaptive.cpp's
-/// internal helper on purpose: the two modules evolve independently).
-std::vector<std::size_t> leadersByCoverage(
-    const std::vector<std::size_t>& coverage, std::size_t depth) {
-  std::vector<std::size_t> ids(coverage.size());
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  const std::size_t take = std::min(depth, ids.size());
-  std::partial_sort(ids.begin(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](std::size_t a, std::size_t b) {
-                      if (coverage[a] != coverage[b]) {
-                        return coverage[a] > coverage[b];
-                      }
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
-std::vector<std::size_t> identityOrder(std::size_t n) {
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  return order;
-}
-
-}  // namespace
 
 LocalSearchPathAdversary::LocalSearchPathAdversary(std::size_t n,
                                                    std::uint64_t seed,
@@ -60,31 +30,36 @@ RootedTree LocalSearchPathAdversary::nextTree(const BroadcastSim& state) {
   const std::vector<DynBitset>& heard = state.heardMatrix();
 
   // Start from the stable freeze of the carried order, then hill-climb.
-  std::vector<std::size_t> order = freezeOrdering(
-      state, leadersByCoverage(coverage, config_.freezeDepth), order_);
-  DelayScore best =
-      evaluateCandidate(heard, coverage, makePath(order), scratch_);
+  // Each move is applied in place, scored straight from the order, and
+  // undone (both moves are involutions) unless it strictly improves.
+  order_ = freezeOrdering(state, topLeaders(coverage, config_.freezeDepth),
+                          order_);
+  DelayScore best = evaluatePathOrder(heard, coverage, order_, scratch_);
 
   for (std::size_t it = 0; it < config_.iterations && n_ >= 2; ++it) {
-    std::vector<std::size_t> trial = order;
     const std::size_t i = rng_.uniform(n_);
     std::size_t j = rng_.uniform(n_ - 1);
     if (j >= i) ++j;
-    if (rng_.chance(config_.reversalProbability)) {
-      const auto lo = static_cast<std::ptrdiff_t>(std::min(i, j));
-      const auto hi = static_cast<std::ptrdiff_t>(std::max(i, j));
-      std::reverse(trial.begin() + lo, trial.begin() + hi + 1);
-    } else {
-      std::swap(trial[i], trial[j]);
-    }
-    const DelayScore s =
-        evaluateCandidate(heard, coverage, makePath(trial), scratch_);
+    const auto lo =
+        order_.begin() + static_cast<std::ptrdiff_t>(std::min(i, j));
+    const auto hi =
+        order_.begin() + static_cast<std::ptrdiff_t>(std::max(i, j));
+    const bool reversal = rng_.chance(config_.reversalProbability);
+    const auto move = [&] {
+      if (reversal) {
+        std::reverse(lo, hi + 1);
+      } else {
+        std::iter_swap(lo, hi);
+      }
+    };
+    move();
+    const DelayScore s = evaluatePathOrder(heard, coverage, order_, scratch_);
     if (s < best) {
       best = s;
-      order = std::move(trial);
+    } else {
+      move();
     }
   }
-  order_ = order;
   return makePath(order_);
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "src/adversary/search_tree.h"
@@ -15,30 +14,14 @@ namespace dynbcast {
 
 namespace {
 
-/// Top-`depth` coverage leaders, highest first.
-std::vector<std::size_t> topLeaders(const std::vector<std::size_t>& coverage,
-                                    std::size_t depth) {
-  std::vector<std::size_t> ids(coverage.size());
-  std::iota(ids.begin(), ids.end(), std::size_t{0});
-  const std::size_t take = std::min(depth, ids.size());
-  std::partial_sort(ids.begin(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](std::size_t a, std::size_t b) {
-                      if (coverage[a] != coverage[b]) {
-                        return coverage[a] > coverage[b];
-                      }
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
 /// The structured move pool expanded at every search node.
+/// The damage-greedy roots share one bind of `damage`.
 std::vector<RootedTree> generateCandidates(
     const BroadcastSim& sim, const std::vector<std::size_t>& coverage,
     const std::vector<std::size_t>& baseOrder, Rng& rng,
-    const LookaheadConfig& config) {
+    const LookaheadConfig& config, DamageCache& damage) {
   const std::size_t n = sim.processCount();
+  damage.bind(sim.heardMatrix(), coverage);
   std::vector<RootedTree> out;
   out.push_back(makePath(baseOrder));  // continuity move
   out.push_back(
@@ -50,7 +33,7 @@ std::vector<RootedTree> generateCandidates(
     const std::size_t minCov = static_cast<std::size_t>(
         std::min_element(coverage.begin(), coverage.end()) -
         coverage.begin());
-    out.push_back(buildDamageGreedyTree(sim, coverage, minCov));
+    out.push_back(damage.tree(minCov));
   }
   if (config.damageRoots >= 2 && n >= 2) {
     std::size_t maxHeard = 0;
@@ -59,10 +42,10 @@ std::vector<RootedTree> generateCandidates(
         maxHeard = y;
       }
     }
-    out.push_back(buildDamageGreedyTree(sim, coverage, maxHeard));
+    out.push_back(damage.tree(maxHeard));
   }
   for (std::size_t extra = 2; extra < config.damageRoots; ++extra) {
-    out.push_back(buildDamageGreedyTree(sim, coverage, rng.uniform(n)));
+    out.push_back(damage.tree(rng.uniform(n)));
   }
   for (std::size_t i = 0; i < config.randomMoves; ++i) {
     out.push_back(randomPath(n, rng));
@@ -95,13 +78,16 @@ struct TtCache {
 
 /// One EvalScratch per recursion level: level d's post-move state must
 /// stay alive as the heard/coverage input of level d+1 while that level
-/// evaluates its own candidates into the next slot.
+/// evaluates its own candidates into the next slot. One DamageCache
+/// serves every level: a node builds all its candidates before it
+/// recurses.
 Eval search(const std::vector<DynBitset>& heard,
             const std::vector<std::size_t>& coverage,
             const std::vector<std::size_t>& baseOrder, Rng& rng,
             const LookaheadConfig& config, std::size_t depth,
             RootedTree* chosenOut, std::vector<EvalScratch>& arena,
-            std::size_t level, TtCache* cache, LookaheadStats& stats) {
+            std::size_t level, TtCache* cache, DamageCache& damage,
+            LookaheadStats& stats) {
   ++stats.nodesVisited;
   // Interior nodes only: the root must still report its chosen move, and
   // it is the first node of a per-call table anyway.
@@ -122,7 +108,7 @@ Eval search(const std::vector<DynBitset>& heard,
   const BroadcastSim sim =
       BroadcastSim::fromHeard(std::vector<DynBitset>(heard));
   const std::vector<RootedTree> candidates =
-      generateCandidates(sim, coverage, baseOrder, rng, config);
+      generateCandidates(sim, coverage, baseOrder, rng, config, damage);
 
   Eval best;  // survived = 0, potential = inf: "every move finishes"
   const RootedTree* bestTree = &candidates.front();
@@ -139,7 +125,8 @@ Eval search(const std::vector<DynBitset>& heard,
       // recursive call reads them while using arena[level + 1].
       const Eval sub =
           search(scratch.heard, scratch.coverage, baseOrder, rng, config,
-                 depth - 1, nullptr, arena, level + 1, cache, stats);
+                 depth - 1, nullptr, arena, level + 1, cache, damage,
+                 stats);
       eval.survived = 1 + sub.survived;
       eval.potential = sub.potential;
     }
@@ -168,15 +155,17 @@ Eval search(const std::vector<DynBitset>& heard,
 LookaheadDelayAdversary::LookaheadDelayAdversary(std::size_t n,
                                                  std::uint64_t seed,
                                                  LookaheadConfig config)
-    : n_(n), seed_(seed), rng_(seed), config_(config) {
+    : n_(n),
+      seed_(seed),
+      rng_(seed),
+      config_(config),
+      order_(identityOrder(n)) {
   DYNBCAST_ASSERT(config_.depth >= 1);
-  order_.resize(n);
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
 }
 
 void LookaheadDelayAdversary::reset() {
   rng_ = Rng(seed_);
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  order_ = identityOrder(n_);
   stats_ = LookaheadStats{};
 }
 
@@ -190,7 +179,8 @@ RootedTree LookaheadDelayAdversary::nextTree(const BroadcastSim& state) {
   TtCache cache;
   TtCache* cachePtr = config_.transposition ? &cache : nullptr;
   (void)search(state.heardMatrix(), coverage, order_, rng_, config_,
-               config_.depth, &chosen, arena_, 0, cachePtr, stats_);
+               config_.depth, &chosen, arena_, 0, cachePtr, damage_,
+               stats_);
   // Carry path stability when the chosen move is a path.
   if (chosen.leafCount() == 1) {
     order_ = chosen.bfsOrder();

@@ -71,6 +71,7 @@ class LookaheadDelayAdversary final : public Adversary {
   std::vector<std::size_t> order_;
   /// One scratch per search depth, reused across rounds (see search()).
   std::vector<EvalScratch> arena_;
+  DamageCache damage_;  // rebound at every search node
   LookaheadStats stats_;
 };
 

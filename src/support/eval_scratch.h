@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/support/bitset.h"
@@ -35,6 +36,9 @@ struct EvalScratch {
   /// Reused BFS-order buffer.
   std::vector<std::size_t> order;
 
+  /// Reused per-process marks (evaluatePathOrder's permutation check).
+  std::vector<std::uint8_t> seen;
+
   /// The one sanctioned constructor: a scratch pre-sized for n-process
   /// evaluation, so even the FIRST evaluateCandidate call at this n is
   /// allocation-free. Every search adversary builds its scratch here.
@@ -43,6 +47,7 @@ struct EvalScratch {
     scratch.heard.assign(n, DynBitset(n));
     scratch.coverage.assign(n, 0);
     scratch.order.reserve(n);
+    scratch.seen.assign(n, 0);
     return scratch;
   }
 

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "src/support/spec.h"
+
 namespace dynbcast {
 
 namespace {
@@ -34,6 +36,7 @@ Options::Options(int argc, const char* const* argv) {
 }
 
 std::optional<std::string> Options::get(const std::string& key) const {
+  asked_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
@@ -74,7 +77,21 @@ bool Options::getBool(const std::string& key, bool fallback) const {
 }
 
 bool Options::has(const std::string& key) const {
+  asked_.insert(key);
   return values_.count(key) != 0;
+}
+
+void Options::rejectUnread() const {
+  for (const auto& [key, value] : values_) {
+    if (asked_.count(key) != 0) continue;
+    std::string message = "unknown option '--" + key + "'";
+    const std::string suggestion = closestMatch(
+        key, std::vector<std::string>(asked_.begin(), asked_.end()));
+    if (!suggestion.empty()) {
+      message += "; did you mean '--" + suggestion + "'?";
+    }
+    throw std::invalid_argument(message);
+  }
 }
 
 std::vector<std::size_t> parseSizeList(const std::string& spec) {

@@ -1,13 +1,16 @@
 // Minimal command-line option parsing for examples and bench binaries.
 //
-// Supports --key=value, --key value, and --flag forms. Unknown options are
-// an error (catches typos in experiment scripts); positional arguments are
-// collected in order.
+// Supports --key=value, --key value, and --flag forms; positional
+// arguments are collected in order. Options records every key a get/has
+// call asks about, so a command can reject, once it has read all its
+// flags, the ones it never asked about (catches typos in experiment
+// scripts): see rejectUnread().
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -34,6 +37,12 @@ class Options {
   /// True when --key was present at all (with or without value).
   [[nodiscard]] bool has(const std::string& key) const;
 
+  /// Throws std::invalid_argument naming the first given --key that no
+  /// get/has call has asked about, with a did-you-mean among the keys
+  /// that were asked about. Call it after reading every flag and before
+  /// doing any work.
+  void rejectUnread() const;
+
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
@@ -46,6 +55,7 @@ class Options {
   std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> asked_;  // keys get/has were called with
 };
 
 /// Parses "8,16,32" or "8:64:2" (lo:hi:multiplicative-step) into a list.

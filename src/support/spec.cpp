@@ -15,21 +15,28 @@ namespace {
   return s.substr(b, e - b + 1);
 }
 
+/// Optimal-string-alignment distance: insertions, deletions,
+/// substitutions and adjacent transpositions each cost 1, so the most
+/// common typo ("sedes" for "seeds") is one edit away, not two.
 [[nodiscard]] std::size_t editDistance(const std::string& a,
                                        const std::string& b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  const std::size_t cols = b.size() + 1;
+  std::vector<std::size_t> d((a.size() + 1) * cols);
+  const auto at = [&](std::size_t i, std::size_t j) -> std::size_t& {
+    return d[i * cols + j];
+  };
+  for (std::size_t i = 0; i <= a.size(); ++i) at(i, 0) = i;
+  for (std::size_t j = 0; j <= b.size(); ++j) at(0, j) = j;
   for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
     for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t prev = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
-                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = prev;
+      at(i, j) = std::min({at(i - 1, j) + 1, at(i, j - 1) + 1,
+                           at(i - 1, j - 1) + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      if (i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1]) {
+        at(i, j) = std::min(at(i, j), at(i - 2, j - 2) + 1);
+      }
     }
   }
-  return row[b.size()];
+  return at(a.size(), b.size());
 }
 
 }  // namespace

@@ -220,7 +220,9 @@ TEST(DamageGreedyTreeTest, ProducesValidTreeWithRequestedRoot) {
     for (int r = 0; r < 3; ++r) sim.applyTree(randomRootedTree(n, rng));
     const auto cov = coverageCounts(sim);
     const std::size_t root = rng.uniform(n);
-    const RootedTree t = buildDamageGreedyTree(sim, cov, root);
+    DamageCache damage;
+    damage.bind(sim.heardMatrix(), cov);
+    const RootedTree t = damage.tree(root);
     EXPECT_EQ(t.root(), root);
     EXPECT_EQ(t.size(), n);
   }
@@ -234,7 +236,9 @@ TEST(DamageGreedyTreeTest, AvoidsFinishingWhenAlternativeExists) {
   for (int r = 0; r < 5; ++r) sim.applyTree(randomPath(10, rng));
   if (!sim.broadcastDone()) {
     const auto cov = coverageCounts(sim);
-    const RootedTree t = buildDamageGreedyTree(sim, cov, 0);
+    DamageCache damage;
+    damage.bind(sim.heardMatrix(), cov);
+    const RootedTree t = damage.tree(0);
     const DelayScore s = evaluateCandidate(sim.heardMatrix(), cov, t);
     // A path exists that does not finish (the previous path froze);
     // damage-greedy must find SOME non-finishing tree too.
@@ -248,8 +252,10 @@ TEST(NoisyDamageTreeTest, NoiseDiversifiesConstruction) {
   for (int r = 0; r < 4; ++r) sim.applyTree(randomRootedTree(12, rng));
   const auto cov = coverageCounts(sim);
   std::set<std::string> shapes;
+  DamageCache damage;
   for (int i = 0; i < 10; ++i) {
-    shapes.insert(buildNoisyDamageTree(sim, cov, 0, 8.0, rng).toString());
+    damage.bindNoisy(sim.heardMatrix(), cov, 8.0, rng);
+    shapes.insert(damage.tree(0).toString());
   }
   EXPECT_GT(shapes.size(), 1u) << "noise produced identical trees";
 }

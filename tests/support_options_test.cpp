@@ -81,6 +81,40 @@ TEST(ParseSizeListTest, SingleValue) {
   EXPECT_EQ(v[0], 42u);
 }
 
+TEST(OptionsTest, RejectUnreadPassesWhenEveryFlagWasRead) {
+  const Options o = parse({"--seeds=3", "--summary", "pos"});
+  (void)o.getUInt("seeds", 1);
+  (void)o.has("summary");
+  (void)o.getString("never-given", "");
+  EXPECT_NO_THROW(o.rejectUnread());
+}
+
+TEST(OptionsTest, RejectUnreadSuggestsTheNearestReadKey) {
+  const Options o = parse({"--sedes=3"});
+  (void)o.getUInt("seeds", 1);
+  (void)o.getUInt("sizes", 1);
+  try {
+    o.rejectUnread();
+    FAIL() << "an unread --sedes must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'--sedes'"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("did you mean '--seeds'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(OptionsTest, RejectUnreadWithoutNearbyKeyHasNoSuggestion) {
+  const Options o = parse({"--completely-different"});
+  (void)o.getUInt("n", 1);
+  try {
+    o.rejectUnread();
+    FAIL() << "an unread flag must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).find("did you mean"), std::string::npos);
+  }
+}
+
 TEST(ParseSizeListTest, EmptyGivesEmpty) {
   EXPECT_TRUE(parseSizeList("").empty());
 }

@@ -96,6 +96,14 @@ TEST(SpecGrammarTest, ParsePrintRoundTripIsCanonical) {
 // anything misleading.
 // ---------------------------------------------------------------------------
 
+TEST(SpecSuggestionTest, AdjacentTranspositionIsOneEdit) {
+  // "sedes" is two substitutions from both "seed" and "seeds", but one
+  // transposition from "seeds": the swap must win the tie.
+  EXPECT_EQ(closestMatch("sedes", {"seed", "seeds", "sizes"}), "seeds");
+  EXPECT_EQ(closestMatch("sewep", {"serve", "sweep"}), "sweep");
+  EXPECT_EQ(closestMatch("zzzzzz", {"seed", "seeds"}), "");
+}
+
 TEST(SpecSuggestionTest, DynamicsRegistryNearMissesAreSuggested) {
   const DynamicsRegistry& registry = DynamicsRegistry::instance();
   const struct {

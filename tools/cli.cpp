@@ -8,6 +8,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "bench/driver.h"
 #include "src/adversary/beam.h"
@@ -73,10 +74,11 @@ int usage(std::ostream& os) {
         "             cache, optional worker-process sharding\n"
         "             --socket=PATH --state=DIR [--workers=N] [--jobs=J]\n"
         "             [--max-requests=K]\n"
-        "  submit     run a sweep through a running server (same flags "
-        "as sweep,\n"
-        "             plus --socket=PATH; --csv output is byte-identical "
-        "to sweep's)\n"
+        "  submit     run a sweep through a running server (sweep's "
+        "flags except\n"
+        "             --jobs and --batch, plus --socket=PATH; --csv output "
+        "is byte-identical\n"
+        "             to sweep's)\n"
         "  work       execute a manifest's unfinished tasks "
         "(server workers run this)\n"
         "             --manifest=PATH [--cache=DIR] [--jobs=J] "
@@ -236,6 +238,7 @@ int runDynamicsSweep(BenchDriver& driver, const std::string& dynamicsText,
   // explicit --batch=K fails validation instead of being ignored.
   scenario.batch =
       parseBatchPolicy(driver.options().getString("batch", "auto"));
+  driver.options().rejectUnread();
 
   driver.printHeader("SWEEP — dynamics=" +
                      DynamicsSpec::parse(dynamicsText).toString() +
@@ -289,11 +292,6 @@ int runSweep(int argc, const char* const* argv) {
     beamCfg.randomMovesPerState = 8;
     beamCfg.diversityPercent = 40;
 
-    driver.printHeader("THM31 — adversaries vs Theorem 3.1");
-    std::cout << "best t* = max(online portfolio, offline beam witness for "
-                 "n <= "
-              << beamMaxN << ")\n\n";
-
     // Portfolio sweep as a declarative scenario: sizes × seed replicates
     // × adversary specs (default = the standard portfolio).
     ScenarioSpec scenario;
@@ -310,6 +308,12 @@ int runSweep(int argc, const char* const* argv) {
         parseBackendChoice(driver.options().getString("backend", "auto"));
     scenario.batch =
         parseBatchPolicy(driver.options().getString("batch", "auto"));
+    driver.options().rejectUnread();
+
+    driver.printHeader("THM31 — adversaries vs Theorem 3.1");
+    std::cout << "best t* = max(online portfolio, offline beam witness for "
+                 "n <= "
+              << beamMaxN << ")\n\n";
     const ScenarioResult sweep = runScenario(scenario, driver.engine());
 
     // Beam witnesses fan out too: one task per size within the beam cap.
@@ -343,6 +347,7 @@ int runSweep(int argc, const char* const* argv) {
 int runPortfolio(int argc, const char* const* argv) {
   return guarded([&] {
     BenchDriver driver(argc, argv, "8:64:2", 1);
+    const bool wantSummary = driver.options().has("summary");
     ScenarioSpec scenario;
     scenario.objective =
         parseObjective(driver.options().getString("objective", "broadcast"));
@@ -358,6 +363,7 @@ int runPortfolio(int argc, const char* const* argv) {
         parseBackendChoice(driver.options().getString("backend", "auto"));
     scenario.batch =
         parseBatchPolicy(driver.options().getString("batch", "auto"));
+    driver.options().rejectUnread();
 
     driver.printHeader(
         "SCENARIO — objective=" + objectiveName(scenario.objective) +
@@ -393,7 +399,7 @@ int runPortfolio(int argc, const char* const* argv) {
           .add(static_cast<std::uint64_t>(instance.portfolio.bestRounds));
     }
     std::cout << best.render() << '\n';
-    if (driver.options().has("summary")) emitSummary(result.rows);
+    if (wantSummary) emitSummary(result.rows);
     return 0;
   });
 }
@@ -406,6 +412,8 @@ int runDuel(int argc, const char* const* argv) {
     std::vector<std::string> specs =
         splitSpecList(opts.getString("adversaries", ""));
     if (specs.empty()) specs = standardPortfolioSpecs();
+    const std::optional<std::string> csvPath = opts.get("csv");
+    opts.rejectUnread();
 
     std::cout << "adversary duel at n = " << n << " (seed " << seed
               << ")\n\n";
@@ -425,10 +433,9 @@ int runDuel(int argc, const char* const* argv) {
           .add((delta >= 0 ? "+" : "") + std::to_string(delta));
     }
     std::cout << table.render() << '\n';
-    if (opts.has("csv")) {
-      const std::string path = opts.getString("csv", "duel.csv");
-      writeCsv(path, table);
-      std::cout << "wrote CSV to " << path << '\n';
+    if (csvPath) {
+      writeCsv(*csvPath, table);
+      std::cout << "wrote CSV to " << *csvPath << '\n';
     }
 
     const TheoremCheck check = checkTheorem31(n, result.bestRounds);
@@ -451,6 +458,7 @@ int runWitness(int argc, const char* const* argv) {
     cfg.beamWidth = opts.getUInt("beam", 256);
     cfg.randomMovesPerState = 8;
     cfg.diversityPercent = 40;
+    opts.rejectUnread();
 
     std::cout << "beam witness search at n = " << n << " (beam "
               << cfg.beamWidth << ", " << restarts << " restarts)\n\n";
@@ -483,7 +491,7 @@ int runWitness(int argc, const char* const* argv) {
 int runList(int argc, const char* const* argv) {
   return guarded([&] {
     const Options opts(argc, argv);
-    (void)opts;
+    opts.rejectUnread();
     const AdversaryRegistry& registry = AdversaryRegistry::instance();
     std::cout << "registered adversaries (spec grammar: "
                  "name[:key=value[,key=value]...]):\n\n";
@@ -587,10 +595,6 @@ int runServe(int argc, const char* const* argv) {
     ServerOptions server;
     server.socketPath = opts.getString("socket", "");
     server.stateDir = opts.getString("state", "");
-    if (server.socketPath.empty() || server.stateDir.empty()) {
-      throw std::invalid_argument(
-          "serve: --socket=PATH and --state=DIR are required");
-    }
     server.workers = opts.getUInt("workers", 0);
     server.jobsPerWorker = opts.getUInt("jobs", 1);
     server.maxRequests = opts.getUInt("max-requests", 0);
@@ -598,6 +602,11 @@ int runServe(int argc, const char* const* argv) {
     // this many tasks, exactly as if killed at a task boundary.
     server.workerMaxTasks = opts.getUInt("worker-max-tasks", 0);
     server.workerBinary = opts.getString("worker-binary", "");
+    opts.rejectUnread();
+    if (server.socketPath.empty() || server.stateDir.empty()) {
+      throw std::invalid_argument(
+          "serve: --socket=PATH and --state=DIR are required");
+    }
     if (server.workers > 0 && server.workerBinary.empty()) {
       server.workerBinary = selfExecutablePath();
       if (server.workerBinary.empty()) {
@@ -618,9 +627,6 @@ int runSubmit(int argc, const char* const* argv) {
   return guarded([&] {
     const Options opts(argc, argv);
     const std::string socket = opts.getString("socket", "");
-    if (socket.empty()) {
-      throw std::invalid_argument("submit: --socket=PATH is required");
-    }
     ServiceRequest request;
     request.scenario.objective =
         parseObjective(opts.getString("objective", "broadcast"));
@@ -636,6 +642,12 @@ int runSubmit(int argc, const char* const* argv) {
         parseBackendChoice(opts.getString("backend", "auto"));
     request.beamMaxN = opts.getUInt("beam-maxn", 32);
     request.beamWidth = opts.getUInt("beam-width", 256);
+    const std::optional<std::string> csvPath = opts.get("csv");
+    const bool wantSummary = opts.has("summary");
+    opts.rejectUnread();
+    if (socket.empty()) {
+      throw std::invalid_argument("submit: --socket=PATH is required");
+    }
     // Fail bad specs client-side with the registry's full message
     // instead of a round-trip to the server.
     validateScenario(request.scenario);
@@ -646,10 +658,9 @@ int runSubmit(int argc, const char* const* argv) {
 
     const auto emitTable = [&](const TextTable& table) {
       std::cout << table.render() << '\n';
-      if (opts.has("csv")) {
-        const std::string path = opts.getString("csv", "sweep.csv");
-        writeCsv(path, table);
-        std::cout << "wrote CSV to " << path << '\n';
+      if (csvPath) {
+        writeCsv(*csvPath, table);
+        std::cout << "wrote CSV to " << *csvPath << '\n';
       }
     };
 
@@ -661,7 +672,7 @@ int runSubmit(int argc, const char* const* argv) {
                            request.scenario.seedsPerSize, outcome.instances,
                            outcome.beamRounds, &anyViolation));
       emitPerAdversaryDetail(outcome.instances);
-      if (opts.has("summary")) emitSummary(outcome.rows);
+      if (wantSummary) emitSummary(outcome.rows);
       emitServiceStats(outcome);
       if (anyViolation) {
         std::cout << "RESULT: UPPER BOUND VIOLATION DETECTED (bug!)\n";
@@ -676,7 +687,7 @@ int runSubmit(int argc, const char* const* argv) {
               << ", backend=" << backendChoiceName(request.scenario.backend)
               << " (served; seed=" << request.scenario.masterSeed << ")\n\n";
     emitTable(dynamicsRowsTable(outcome.rows));
-    if (opts.has("summary")) emitSummary(outcome.rows);
+    if (wantSummary) emitSummary(outcome.rows);
     emitServiceStats(outcome);
     return 0;
   });
@@ -687,9 +698,6 @@ int runWork(int argc, const char* const* argv) {
     const Options opts(argc, argv);
     WorkerOptions work;
     work.manifestPath = opts.getString("manifest", "");
-    if (work.manifestPath.empty()) {
-      throw std::invalid_argument("work: --manifest=PATH is required");
-    }
     work.cacheDir = opts.getString("cache", "");
     work.jobs = opts.getUInt("jobs", 1);
     work.maxTasks = opts.getUInt(
@@ -703,6 +711,10 @@ int runWork(int argc, const char* const* argv) {
       }
       work.rangeBegin = std::stoull(range.substr(0, colon));
       work.rangeEnd = std::stoull(range.substr(colon + 1));
+    }
+    opts.rejectUnread();
+    if (work.manifestPath.empty()) {
+      throw std::invalid_argument("work: --manifest=PATH is required");
     }
     const WorkerReport report = runManifestWorker(work);
     std::cout << "work: assigned=" << report.assigned
