@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   using namespace dynbcast;
   BenchDriver driver(argc, argv, "8,12,16", 7);
   const std::size_t beamWidth = driver.options().getUInt("beam", 128);
+  driver.options().rejectUnreadOrExit();
 
   struct Variant {
     const char* name;

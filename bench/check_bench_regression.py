@@ -64,7 +64,8 @@ DEFAULT_GATES = {
     # Experiment-service throughput: the warm pass re-runs the same specs
     # against a populated result cache, so the ratio is machine-relative
     # and collapses toward 1 if the cache pre-pass stops short-circuiting
-    # execution. Both passes fsync every record, which adds I/O variance.
+    # execution. Both passes fsync every cache put and every manifest
+    # group commit, which adds I/O variance.
     "sweep:service_warm_speedup": 60.0,
 }
 

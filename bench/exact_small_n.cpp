@@ -25,6 +25,8 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   const std::size_t maxN = opts.getUInt("maxn", 5);
   const bool heuristics = opts.getBool("heuristics", true);
+  const std::size_t witnessMaxN = opts.getUInt("witness-maxn", 9);
+  opts.rejectUnreadOrExit();
 
   std::cout << "EXACT — exhaustive game value of t*(T_n) for small n\n\n";
 
@@ -59,7 +61,6 @@ int main(int argc, char** argv) {
                "heuristic column shows how much of the true game value the "
                "portfolio recovers without exhaustive search.\n\n";
 
-  const std::size_t witnessMaxN = opts.getUInt("witness-maxn", 9);
   TextTable witnessTable({"n", "target (= lower bound)", "certified rounds",
                           "pool", "time ms"});
   for (std::size_t n = 2; n <= witnessMaxN && n <= ExactSolver::kMaxN;

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   using namespace dynbcast;
   BenchDriver driver(argc, argv, "8:4096:2", 1);
   const auto ks = parseSizeList(driver.options().getString("ks", "2,4,8"));
+  driver.options().rejectUnreadOrExit();
 
   std::cout << "FIG1 — upper-bound landscape (paper Figure 1)\n"
             << "columns: trivial n^2 | (n-1)ceil(log2 n) [14 via 1+2] | "

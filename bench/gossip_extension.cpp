@@ -24,6 +24,7 @@
 int main(int argc, char** argv) {
   using namespace dynbcast;
   BenchDriver driver(argc, argv, "4:256:2", 1);
+  driver.options().rejectUnreadOrExit();
 
   driver.printHeader(
       "SEC5 — gossip (all-to-all) under dynamic rooted trees");

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   using namespace dynbcast;
   BenchDriver driver(argc, argv, "8:2048:2", 1);
   const std::size_t trials = driver.options().getUInt("trials", 10);
+  driver.options().rejectUnreadOrExit();
 
   driver.printHeader(
       "SEC4 — nonsplit adversaries and the tree-product reduction");

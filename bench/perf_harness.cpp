@@ -614,12 +614,7 @@ int main(int argc, char** argv) {
   const std::size_t sweepN =
       driver.options().getUInt("sweep-n", quick ? 96 : 256);
   const double minSeconds = quick ? 0.05 : 0.25;
-  try {
-    driver.options().rejectUnread();  // e.g. --help: fail, don't run
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "perf_harness: " << e.what() << '\n';
-    return 2;
-  }
+  driver.options().rejectUnreadOrExit();  // e.g. --help: fail, don't run
 
   driver.printHeader("PERF — kernel throughput + portfolio sweep telemetry");
   std::cout << "simd dispatch: "

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   using namespace dynbcast;
   BenchDriver driver(argc, argv, "16:512:2", 1);
   const auto ks = parseSizeList(driver.options().getString("ks", "2,3,4,8"));
+  driver.options().rejectUnreadOrExit();
 
   driver.printHeader("SEC4 — restricted adversaries of [14]");
 

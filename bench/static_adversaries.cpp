@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   using namespace dynbcast;
   BenchDriver driver(argc, argv, "4:1024:2", 1);
   const std::size_t trials = driver.options().getUInt("trials", 5);
+  driver.options().rejectUnreadOrExit();
 
   driver.printHeader("SEC2 — static and random baselines");
 

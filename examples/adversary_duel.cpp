@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   const std::size_t n = opts.getUInt("n", 32);
   const std::uint64_t seed = opts.getUInt("seed", 7);
+  opts.rejectUnreadOrExit();
 
   std::cout << "adversary duel at n = " << n << " (seed " << seed << ")\n\n";
   const PortfolioResult result = runPortfolio(n, seed);

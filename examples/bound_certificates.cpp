@@ -5,6 +5,7 @@
 //
 //   $ bound_certificates [--n=24] [--seed=5] [--out=certificate.csv]
 #include <iostream>
+#include <string>
 
 #include "src/adversary/adaptive.h"
 #include "src/analysis/csv.h"
@@ -17,6 +18,9 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   const std::size_t n = opts.getUInt("n", 24);
   const std::uint64_t seed = opts.getUInt("seed", 5);
+  const bool wantOut = opts.has("out");
+  const std::string outPath = opts.getString("out", "certificate.csv");
+  opts.rejectUnreadOrExit();
 
   std::cout << "certifying a lower-bound witness at n = " << n << "\n\n";
 
@@ -44,8 +48,8 @@ int main(int argc, char** argv) {
             << " (witnessed), theorem bracket [" << check.lower << ", "
             << check.upper << "]\n";
 
-  if (opts.has("out")) {
-    writeFile(opts.getString("out", "certificate.csv"), trace.toCsv());
+  if (wantOut) {
+    writeFile(outPath, trace.toCsv());
     std::cout << "trace exported for external audit\n";
   }
   return replayed == trace.roundCount() ? 0 : 1;

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   using namespace dynbcast;
   const Options opts(argc, argv);
   const std::size_t n = opts.getUInt("n", 4);
+  opts.rejectUnreadOrExit();
   if (n < 2 || n > 6) {
     std::cout << "exact solving is practical for 2 <= n <= 6 (got " << n
               << ")\n";

@@ -4,6 +4,7 @@
 //
 //   $ matrix_evolution [--n=12] [--seed=3] [--render=1] [--csv=path]
 #include <iostream>
+#include <string>
 
 #include "src/adversary/adaptive.h"
 #include "src/analysis/csv.h"
@@ -17,6 +18,9 @@ int main(int argc, char** argv) {
   const std::size_t n = opts.getUInt("n", 12);
   const std::uint64_t seed = opts.getUInt("seed", 3);
   const bool render = opts.getBool("render", true);
+  const bool wantCsv = opts.has("csv");
+  const std::string csvPath = opts.getString("csv", "evolution.csv");
+  opts.rejectUnreadOrExit();
 
   std::cout << "matrix evolution under greedy-delay, n = " << n << "\n\n";
 
@@ -58,8 +62,8 @@ int main(int argc, char** argv) {
   for (const std::size_t r : summary.coveredAllAt) std::cout << ' ' << r;
   std::cout << '\n';
 
-  if (opts.has("csv")) {
-    writeFile(opts.getString("csv", "evolution.csv"), trace.toCsv());
+  if (wantCsv) {
+    writeFile(csvPath, trace.toCsv());
     std::cout << "wrote per-round metrics CSV\n";
   }
   return 0;

@@ -28,6 +28,7 @@ int run(int argc, char** argv) {
   const std::uint64_t seed = opts.getUInt("seed", 42);
   const std::string spec = opts.getString("adversary", "greedy-delay");
   const std::string dynamics = opts.getString("dynamics", "rooted-tree");
+  opts.rejectUnread();
 
   std::cout << "dynbcast quickstart: broadcast on dynamic networks\n";
 

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   cfg.beamWidth = opts.getUInt("beam", 256);
   cfg.randomMovesPerState = 8;
   cfg.diversityPercent = 40;
+  opts.rejectUnreadOrExit();
 
   std::cout << "beam witness search at n = " << n << " (beam "
             << cfg.beamWidth << ", " << restarts << " restarts)\n\n";

@@ -64,7 +64,12 @@ std::size_t scenarioRowCount(const ScenarioSpec& spec) {
 
 ScenarioRowPlan planScenarioRow(const ScenarioSpec& spec,
                                 std::size_t position) {
-  const std::vector<std::string> members = resolvedScenarioMemberSpecs(spec);
+  return planScenarioRow(spec, resolvedScenarioMemberSpecs(spec), position);
+}
+
+ScenarioRowPlan planScenarioRow(const ScenarioSpec& spec,
+                                const std::vector<std::string>& members,
+                                std::size_t position) {
   const std::size_t width = members.size();
   DYNBCAST_ASSERT(width > 0 && spec.seedsPerSize > 0);
   DYNBCAST_ASSERT(position < spec.sizes.size() * spec.seedsPerSize * width);

@@ -72,6 +72,13 @@ struct ScenarioRowPlan {
 [[nodiscard]] ScenarioRowPlan planScenarioRow(const ScenarioSpec& spec,
                                               std::size_t position);
 
+/// planScenarioRow over an already resolved member list (exactly
+/// resolvedScenarioMemberSpecs(spec)), for callers that plan many
+/// positions of one spec and resolve the members once.
+[[nodiscard]] ScenarioRowPlan planScenarioRow(
+    const ScenarioSpec& spec, const std::vector<std::string>& members,
+    std::size_t position);
+
 /// Executes position `position` on the calling thread and returns the
 /// row runScenario() would produce there, byte-identical. The spec must
 /// already satisfy validateScenario().

@@ -1,5 +1,8 @@
 #include "src/service/cache.h"
 
+#include <charconv>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "src/service/protocol.h"
@@ -9,29 +12,32 @@ namespace dynbcast {
 
 namespace {
 
-/// Parses one bucket line: `<hash16> <rounds> <0|1> <key...>`. Returns
-/// false on damage (torn tail line) — the entry is simply not found and
-/// gets recomputed.
-[[nodiscard]] bool parseBucketLine(const std::string& line,
-                                   std::string* hashHex, std::size_t* rounds,
-                                   bool* completed, std::string* key) {
-  const std::size_t s1 = line.find(' ');
-  if (s1 == std::string::npos) return false;
-  const std::size_t s2 = line.find(' ', s1 + 1);
-  if (s2 == std::string::npos) return false;
-  const std::size_t s3 = line.find(' ', s2 + 1);
-  if (s3 == std::string::npos) return false;
-  *hashHex = line.substr(0, s1);
-  const std::string roundsText = line.substr(s1 + 1, s2 - s1 - 1);
-  const std::string completedText = line.substr(s2 + 1, s3 - s2 - 1);
+/// Parses what follows a bucket line's `<hash16> ` prefix:
+/// `<rounds> <0|1> <key...>`. Returns false on damage (torn tail line,
+/// garbage) — the entry is simply not found and gets recomputed.
+[[nodiscard]] bool parseBucketFields(std::string_view fields,
+                                     ResultCache::Value* value,
+                                     std::string_view* key) {
+  const std::size_t s1 = fields.find(' ');
+  if (s1 == std::string_view::npos) return false;
+  const std::size_t s2 = fields.find(' ', s1 + 1);
+  if (s2 == std::string_view::npos) return false;
+  const std::string_view roundsText = fields.substr(0, s1);
+  const std::string_view completedText = fields.substr(s1 + 1, s2 - s1 - 1);
   if (roundsText.empty() ||
-      roundsText.find_first_not_of("0123456789") != std::string::npos) {
+      roundsText.find_first_not_of("0123456789") != std::string_view::npos) {
     return false;
   }
   if (completedText != "0" && completedText != "1") return false;
-  *rounds = static_cast<std::size_t>(std::stoull(roundsText));
-  *completed = completedText == "1";
-  *key = line.substr(s3 + 1);
+  std::uint64_t rounds = 0;
+  const auto [end, error] = std::from_chars(
+      roundsText.data(), roundsText.data() + roundsText.size(), rounds);
+  if (error != std::errc() || end != roundsText.data() + roundsText.size()) {
+    return false;
+  }
+  value->rounds = static_cast<std::size_t>(rounds);
+  value->completed = completedText == "1";
+  *key = fields.substr(s2 + 1);
   return true;
 }
 
@@ -78,25 +84,28 @@ std::optional<ResultCache::Value> ResultCache::get(const std::string& key) {
   }
   // LRU miss: scan the key's bucket file (shared-locked whole-file
   // read, so a concurrent appender can't hand us half a line except as
-  // the torn tail parseBucketLine already rejects).
+  // the torn tail the field parse rejects).
   const std::optional<std::string> bucket =
       readFileIfExists(bucketPath(keyHash));
   if (!bucket.has_value()) return std::nullopt;
-  const std::string wantHash = hex64(keyHash);
+  // Only lines whose 16-hex hash field matches in place are parsed;
+  // every other line costs one comparison and no copy.
+  const std::string wantPrefix = hex64(keyHash) + ' ';
+  const std::string_view text(*bucket);
   std::size_t lineStart = 0;
-  while (lineStart < bucket->size()) {
-    std::size_t lineEnd = bucket->find('\n', lineStart);
-    if (lineEnd == std::string::npos) lineEnd = bucket->size();
-    const std::string line = bucket->substr(lineStart, lineEnd - lineStart);
+  while (lineStart < text.size()) {
+    std::size_t lineEnd = text.find('\n', lineStart);
+    if (lineEnd == std::string_view::npos) lineEnd = text.size();
+    const std::string_view line = text.substr(lineStart, lineEnd - lineStart);
     lineStart = lineEnd + 1;
-    std::string hashHex;
-    std::string entryKey;
+    if (line.substr(0, wantPrefix.size()) != wantPrefix) continue;
     Value value;
-    if (!parseBucketLine(line, &hashHex, &value.rounds, &value.completed,
-                         &entryKey)) {
+    std::string_view entryKey;
+    if (!parseBucketFields(line.substr(wantPrefix.size()), &value,
+                           &entryKey) ||
+        entryKey != key) {
       continue;
     }
-    if (hashHex != wantHash || entryKey != key) continue;
     MutexLock lock(mutex_);
     remember(key, value);
     return value;

@@ -15,8 +15,15 @@
 // appended durably (flock + fsync, src/support/file_lock.h) so workers
 // in different processes can write concurrently. Keys may contain
 // spaces, hence last-field position; the leading hash makes the scan
-// cheap and the full key comparison makes it exact. Duplicate lines are
-// harmless (determinism: same key, same value).
+// cheap (lines are compared on it in place, and only a line whose hash
+// matches is parsed) and the full key comparison makes it exact.
+// Duplicate lines are harmless (determinism: same key, same value).
+//
+// Ordering with the manifest: every put() is its own fsynced append and
+// completes before the task's `done` record is even buffered for the
+// manifest's group commit (src/service/worker.h). The cache is therefore
+// always durable ahead of the manifest, which is what lets a crash that
+// loses an uncommitted manifest group cost only cache hits on resume.
 //
 // The LRU layer exists to avoid re-reading bucket files: a get() miss
 // scans one bucket from disk, a hit costs a hash lookup. Entries are

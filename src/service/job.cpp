@@ -8,30 +8,6 @@ namespace dynbcast {
 
 namespace {
 
-/// The backend that actually runs a row of size n, as a cache-key
-/// token. Below the mirror threshold sparse and dense produce identical
-/// rows, so everything normalizes to "dense" and requests differing
-/// only in backend choice share cache cells. Above it, the resolution
-/// mirrors runScenarioRow's: explicit sparse, or auto over a
-/// sparse-capable model — looked up on the MEMBER model (which under
-/// the legacy generator-list alias differs from the dynamics entry).
-/// Registry sparseCapable and the constructed model's
-/// supportsSparseRounds agree; validateScenario enforces the former
-/// wherever the latter could run.
-[[nodiscard]] std::string rowBackendToken(const ScenarioSpec& spec,
-                                          const DynamicsInfo& entry,
-                                          const std::string& memberSpec,
-                                          std::size_t n) {
-  if (entry.mode == DynamicsMode::kAdversaryTrees) return "dense";
-  if (n <= kAutoSparseThreshold) return "dense";
-  const DynamicsInfo& memberEntry = DynamicsRegistry::instance().info(
-      DynamicsSpec::parse(memberSpec).name);
-  const bool sparse = spec.backend == BackendChoice::kSparse ||
-                      (spec.backend == BackendChoice::kAuto &&
-                       memberEntry.sparseCapable && !spec.recordHistory);
-  return sparse ? "sparse" : "dense";
-}
-
 [[nodiscard]] BeamConfig requestBeamConfig(const ServiceRequest& request) {
   // The sweep subcommand's fixed search knobs; width is the one the
   // request can vary. Changing the fixed values changes witness rounds,
@@ -56,32 +32,71 @@ ServiceJobPlan planServiceJob(const ServiceRequest& request) {
 
 std::string serviceTaskKey(const ServiceRequest& request,
                            std::size_t position) {
+  return ServiceTaskKeys(request).key(position);
+}
+
+ServiceTaskKeys::ServiceTaskKeys(const ServiceRequest& request)
+    : request_(request),
+      plan_(planServiceJob(request)),
+      members_(resolvedScenarioMemberSpecs(request.scenario)) {
   const ScenarioSpec& spec = request.scenario;
-  const ServiceJobPlan plan = planServiceJob(request);
-  DYNBCAST_ASSERT(position < plan.taskCount());
-
-  if (position >= plan.rowCount) {
-    const std::size_t sizeIndex = position - plan.rowCount;
-    const std::size_t n = spec.sizes[sizeIndex];
-    const bool searched = n <= request.beamMaxN;
-    return "beam/1 n=" + std::to_string(n) + " seed=" +
-           std::to_string(scenarioBeamSeed(spec.masterSeed, sizeIndex)) +
-           " width=" + std::to_string(request.beamWidth) +
-           " moves=8 div=40 searched=" + (searched ? "1" : "0");
-  }
-
-  const ScenarioRowPlan row = planScenarioRow(spec, position);
   const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
   const DynamicsInfo& entry =
       DynamicsRegistry::instance().info(dynamics.name);
-  return "row/1 obj=" + objectiveName(spec.objective) +
-         " dyn=" + dynamics.toString() + " cap=" +
-         std::to_string(spec.roundCap) + " backend=" +
-         rowBackendToken(spec, entry, row.memberSpec, row.n) +
-         " member=" + row.memberSpec +
-         " n=" + std::to_string(row.n) + " seed=" +
-         std::to_string(row.instanceSeed) + " mpos=" +
-         std::to_string(row.memberIndex);
+  // The backend that actually runs a row, as a cache-key token. Below
+  // the mirror threshold sparse and dense produce identical rows, so
+  // everything normalizes to "dense" and requests differing only in
+  // backend choice share cache cells. Above it, the resolution mirrors
+  // runScenarioRow's: explicit sparse, or auto over a sparse-capable
+  // model — looked up on the MEMBER model (which under the legacy
+  // generator-list alias differs from the dynamics entry). Registry
+  // sparseCapable and the constructed model's supportsSparseRounds
+  // agree; validateScenario enforces the former wherever the latter
+  // could run.
+  // Members are looked up only when some size is above the threshold,
+  // as the per-row resolution did.
+  bool anyAboveThreshold = false;
+  for (const std::size_t n : spec.sizes) {
+    anyAboveThreshold = anyAboveThreshold || n > kAutoSparseThreshold;
+  }
+  sparseAboveThreshold_.reserve(members_.size());
+  for (const std::string& member : members_) {
+    bool sparse = false;
+    if (anyAboveThreshold && entry.mode != DynamicsMode::kAdversaryTrees) {
+      const DynamicsInfo& memberEntry = DynamicsRegistry::instance().info(
+          DynamicsSpec::parse(member).name);
+      sparse = spec.backend == BackendChoice::kSparse ||
+               (spec.backend == BackendChoice::kAuto &&
+                memberEntry.sparseCapable && !spec.recordHistory);
+    }
+    sparseAboveThreshold_.push_back(sparse ? 1 : 0);
+  }
+  rowPrefix_ = "row/1 obj=" + objectiveName(spec.objective) +
+               " dyn=" + dynamics.toString() +
+               " cap=" + std::to_string(spec.roundCap) + " backend=";
+}
+
+std::string ServiceTaskKeys::key(std::size_t position) const {
+  const ScenarioSpec& spec = request_.scenario;
+  DYNBCAST_ASSERT(position < plan_.taskCount());
+
+  if (position >= plan_.rowCount) {
+    const std::size_t sizeIndex = position - plan_.rowCount;
+    const std::size_t n = spec.sizes[sizeIndex];
+    const bool searched = n <= request_.beamMaxN;
+    return "beam/1 n=" + std::to_string(n) + " seed=" +
+           std::to_string(scenarioBeamSeed(spec.masterSeed, sizeIndex)) +
+           " width=" + std::to_string(request_.beamWidth) +
+           " moves=8 div=40 searched=" + (searched ? "1" : "0");
+  }
+
+  const ScenarioRowPlan row = planScenarioRow(spec, members_, position);
+  const bool sparse = row.n > kAutoSparseThreshold &&
+                      sparseAboveThreshold_[row.memberIndex] != 0;
+  return rowPrefix_ + (sparse ? "sparse" : "dense") +
+         " member=" + row.memberSpec + " n=" + std::to_string(row.n) +
+         " seed=" + std::to_string(row.instanceSeed) +
+         " mpos=" + std::to_string(row.memberIndex);
 }
 
 ServiceTaskResult executeServiceTask(const ServiceRequest& request,

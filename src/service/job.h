@@ -60,6 +60,31 @@ struct ServiceTaskResult {
 [[nodiscard]] std::string serviceTaskKey(const ServiceRequest& request,
                                          std::size_t position);
 
+/// Every task key of one request. The per-request part — the job plan,
+/// the resolved member list, each member's backend above the mirror
+/// threshold, and the row-key prefix — is computed once here; key(p)
+/// appends only position p's part. key(p) == serviceTaskKey(request, p)
+/// byte for byte (serviceTaskKey is this class, used for one key).
+/// Keeps a reference to `request`, which must outlive it.
+class ServiceTaskKeys {
+ public:
+  explicit ServiceTaskKeys(const ServiceRequest& request);
+
+  [[nodiscard]] const ServiceJobPlan& plan() const noexcept { return plan_; }
+
+  /// Task `position`'s cache key (position < plan().taskCount()).
+  [[nodiscard]] std::string key(std::size_t position) const;
+
+ private:
+  const ServiceRequest& request_;
+  ServiceJobPlan plan_;
+  std::vector<std::string> members_;
+  /// Per member: its rows run sparse above kAutoSparseThreshold.
+  std::vector<char> sparseAboveThreshold_;
+  /// "row/1 obj=... dyn=... cap=... backend=".
+  std::string rowPrefix_;
+};
+
 /// Executes task `position` on the calling thread. The scenario must
 /// already satisfy validateScenario().
 [[nodiscard]] ServiceTaskResult executeServiceTask(

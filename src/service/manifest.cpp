@@ -114,9 +114,19 @@ std::optional<ManifestState> loadManifest(const std::string& path) {
 }
 
 void appendTaskRecord(const std::string& path, const TaskRecord& record) {
-  appendLineDurable(path, "done " + std::to_string(record.position) + ' ' +
-                              std::to_string(record.rounds) + ' ' +
-                              (record.completed ? "1" : "0"));
+  appendTaskRecords(path, {record});
+}
+
+void appendTaskRecords(const std::string& path,
+                       const std::vector<TaskRecord>& records) {
+  std::vector<std::string> lines;
+  lines.reserve(records.size());
+  for (const TaskRecord& record : records) {
+    lines.push_back("done " + std::to_string(record.position) + ' ' +
+                    std::to_string(record.rounds) + ' ' +
+                    (record.completed ? "1" : "0"));
+  }
+  appendLinesDurable(path, lines);
 }
 
 }  // namespace dynbcast

@@ -7,15 +7,23 @@
 //   tasks <T>
 //   done <position> <rounds> <0|1>         (one line per finished task)
 //
-// The header is written once (durably) when the job is planned; every
-// completed task appends one fsynced `done` record via
-// appendLineDurable, so "in the manifest" and "survives kill -9" are the
-// same property. Records may arrive from several worker processes —
-// O_APPEND plus the exclusive flock keeps lines whole — and in any
-// order, since a task's position fully determines where its row lands.
+// The header is written once (durably) when the job is planned. `done`
+// records are group-committed: appendTaskRecords writes a whole group
+// with one write and one fsync (the server's cache pre-pass is one
+// group; a worker commits every kGroupCommitRecords results and at exit,
+// src/service/worker.h). A record is readable as "done" only once its
+// group is fsynced, so "in the manifest" and "survives kill -9" are
+// still the same property. What a crash can lose is the group in flight
+// (plus tasks still executing): at most one group per writer. Every lost
+// record's result was put durably into the result cache before the
+// record was buffered, so on resume it comes back as a cache hit, not a
+// re-execution. Records may arrive from several worker processes —
+// O_APPEND plus the exclusive flock keeps groups whole and unmixed — and
+// in any order, since a task's position fully determines where its row
+// lands.
 //
 // Loading tolerates exactly the damage an interrupted writer can cause:
-// a torn final line (skipped — that task simply re-runs) and duplicate
+// a torn final line (skipped — that task simply resumes) and duplicate
 // records (identical by determinism; the first wins). Anything else —
 // wrong version, missing header, out-of-range position — is corruption
 // and throws.
@@ -67,8 +75,13 @@ void initManifest(const std::string& path,
 [[nodiscard]] std::optional<ManifestState> loadManifest(
     const std::string& path);
 
-/// Appends one task's completion record, durably (fsynced before
-/// returning). Safe from concurrent processes.
+/// Appends a group of completion records with one write and one fsync
+/// (appendLinesDurable); every record is durable when it returns. Safe
+/// from concurrent processes. An empty group is a no-op.
+void appendTaskRecords(const std::string& path,
+                       const std::vector<TaskRecord>& records);
+
+/// appendTaskRecords for a single record.
 void appendTaskRecord(const std::string& path, const TaskRecord& record);
 
 }  // namespace dynbcast

@@ -99,7 +99,8 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
   const std::string jobId = requestJobId(request);
   const std::string manifestPath =
       options.stateDir + "/job-" + jobId + ".manifest";
-  const ServiceJobPlan plan = planServiceJob(request);
+  const ServiceTaskKeys keys(request);
+  const ServiceJobPlan& plan = keys.plan();
 
   std::size_t resumed = 0;
   if (std::optional<ManifestState> existing = loadManifest(manifestPath)) {
@@ -124,20 +125,22 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
                     jobId + " tasks=" + std::to_string(plan.taskCount()));
 
   // Cache pre-pass: every pending task already in the result cache gets
-  // its record appended without executing anything — overlapping
-  // requests pay only for their delta.
+  // its record without executing anything — overlapping requests pay
+  // only for their delta. The hits are committed as one group (one
+  // write, one fsync) before PROGRESS reports them.
   ResultCache cache(options.stateDir + "/cache");
   std::size_t cacheHits = 0;
   {
     const std::optional<ManifestState> state = loadManifest(manifestPath);
+    std::vector<TaskRecord> hits;
     for (const std::size_t position :
          state->pending(0, plan.taskCount())) {
-      const auto hit = cache.get(serviceTaskKey(request, position));
+      const auto hit = cache.get(keys.key(position));
       if (!hit.has_value()) continue;
-      appendTaskRecord(manifestPath,
-                       {position, hit->rounds, hit->completed});
-      cacheHits += 1;
+      hits.push_back({position, hit->rounds, hit->completed});
     }
+    appendTaskRecords(manifestPath, hits);
+    cacheHits = hits.size();
   }
   channel.writeLine("PROGRESS done=" +
                     std::to_string(resumed + cacheHits) + " total=" +

@@ -7,10 +7,15 @@
 // binary, each owning a disjoint position range of the same manifest.
 // Workers share nothing but the filesystem: the manifest header tells
 // them WHAT the job is (the canonical request string round-trips into a
-// ServiceRequest), the `done` records tell them what's left, and every
-// result is appended durably before the task counts as finished. A
-// worker killed at any moment loses at most the tasks it had in flight;
-// rerunning any worker over the same range is always safe and lands
+// ServiceRequest), the `done` records tell them what's left, and a task
+// counts as finished only once its record is fsynced. Records are
+// group-committed: one fsync per kGroupCommitRecords finished tasks and
+// one for the rest at exit, instead of one per task. Each result is put
+// durably into the result cache before its record is buffered, so a
+// worker killed at any moment loses at most its tasks in flight plus
+// one uncommitted group, and every lost record resumes as a cache hit
+// (without a cache — manifest-only mode — it re-executes instead).
+// Rerunning any worker over the same range is always safe and lands
 // byte-identical records.
 #pragma once
 
@@ -19,6 +24,11 @@
 #include <string>
 
 namespace dynbcast {
+
+/// Finished-task records per manifest group commit (one write + fsync).
+/// A crash loses at most this many records per worker, each of which
+/// resumes as a cache hit.
+inline constexpr std::size_t kGroupCommitRecords = 64;
 
 struct WorkerOptions {
   std::string manifestPath;

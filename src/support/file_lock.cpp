@@ -47,20 +47,26 @@ FileLock::FileLock(int fd, Mode mode) : fd_(fd) {
 FileLock::~FileLock() { ::flock(fd_, LOCK_UN); }
 
 void appendLineDurable(const std::string& path, const std::string& line) {
+  appendLinesDurable(path, {line});
+}
+
+void appendLinesDurable(const std::string& path,
+                        const std::vector<std::string>& lines) {
+  if (lines.empty()) return;
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (fd < 0) throwErrno("open(" + path + ")");
   {
     FileLock lock(fd, FileLock::Mode::kExclusive);
     // A writer killed mid-append can leave a torn, unterminated tail
-    // line. Appending straight after it would merge the new record into
-    // the garbage and lose BOTH; terminating the tail first confines
+    // line. Appending straight after it would merge the first new record
+    // into the garbage and lose BOTH; terminating the tail first confines
     // the damage to the torn line, which readers already skip.
     struct stat st {};
     if (::fstat(fd, &st) != 0) {
       ::close(fd);
       throwErrno("fstat(" + path + ")");
     }
-    bool needsNewline = false;
+    std::string data;
     if (st.st_size > 0) {
       char tail = '\n';
       const ssize_t n = ::pread(fd, &tail, 1, st.st_size - 1);
@@ -68,9 +74,13 @@ void appendLineDurable(const std::string& path, const std::string& line) {
         ::close(fd);
         throwErrno("pread(" + path + ")");
       }
-      needsNewline = n == 1 && tail != '\n';
+      if (n == 1 && tail != '\n') data += '\n';
     }
-    writeAllFd(fd, path, needsNewline ? "\n" + line + "\n" : line + "\n");
+    for (const std::string& line : lines) {
+      data += line;
+      data += '\n';
+    }
+    writeAllFd(fd, path, data);
     if (::fsync(fd) != 0) {
       ::close(fd);
       throwErrno("fsync(" + path + ")");

@@ -8,19 +8,24 @@
 //     appends, shared for consistent whole-file reads. Advisory, which
 //     is sufficient — every writer in this repo goes through these
 //     helpers.
-//   * appendLineDurable — open O_APPEND, take the exclusive lock, write
-//     the record in ONE write(2) call (O_APPEND makes the offset atomic
-//     between processes), then fsync before releasing. When it returns,
-//     the record survives a kill -9 of the caller; a kill mid-call leaves
-//     at worst one torn tail line, which the manifest/cache readers
-//     tolerate by skipping unparseable records.
+//   * appendLinesDurable — open O_APPEND, take the exclusive lock, write
+//     a whole group of records in ONE write(2) call (O_APPEND makes the
+//     offset atomic between processes), then fsync once before
+//     releasing. When it returns, every record in the group survives a
+//     kill -9 of the caller; a kill mid-call leaves a prefix of the
+//     group plus at worst one torn tail line, which the manifest/cache
+//     readers tolerate by skipping unparseable records.
+//     appendLineDurable is the one-record group.
 //
 // Checkpointing is exactly this contract: a task is "done" once its
-// record is fsynced, and never before.
+// record is fsynced, and never before. Callers choose the group size:
+// the manifest commits many records per fsync (src/service/worker.h),
+// each cache put commits one.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace dynbcast {
 
@@ -42,6 +47,12 @@ class FileLock {
 /// file if needed, under an exclusive flock, and fsyncs before
 /// returning. Throws std::runtime_error on I/O failure.
 void appendLineDurable(const std::string& path, const std::string& line);
+
+/// appendLineDurable for a group: one open, one exclusive flock, one
+/// torn-tail check, one write(2) of every line (each '\n'-terminated)
+/// and one fsync. An empty group touches nothing.
+void appendLinesDurable(const std::string& path,
+                        const std::vector<std::string>& lines);
 
 /// Writes `content` to `path` (create or truncate) under an exclusive
 /// flock and fsyncs before returning. The whole-file analogue of

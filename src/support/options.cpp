@@ -1,5 +1,8 @@
 #include "src/support/options.h"
 
+#include <cstdlib>
+#include <filesystem>
+#include <iostream>
 #include <stdexcept>
 
 #include "src/support/spec.h"
@@ -91,6 +94,16 @@ void Options::rejectUnread() const {
       message += "; did you mean '--" + suggestion + "'?";
     }
     throw std::invalid_argument(message);
+  }
+}
+
+void Options::rejectUnreadOrExit() const {
+  try {
+    rejectUnread();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << std::filesystem::path(program_).filename().string() << ": "
+              << e.what() << '\n';
+    std::exit(2);
   }
 }
 

@@ -43,6 +43,10 @@ class Options {
   /// doing any work.
   void rejectUnread() const;
 
+  /// rejectUnread() for a program's main(): on an unknown flag, prints
+  /// "<program>: <message>" to stderr and exits with status 2.
+  void rejectUnreadOrExit() const;
+
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }

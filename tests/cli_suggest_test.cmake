@@ -1,7 +1,8 @@
 # Misspelling ergonomics gate: a misspelled subcommand or flag must fail
 # (nonzero exit) and suggest the nearest real one. Invoked by ctest with:
-#   -DBIN=<dynbcast CLI>
-#   -DSUBCOMMAND=<the subcommand to type, possibly misspelled>
+#   -DBIN=<dynbcast CLI, or a bench binary>
+#   -DSUBCOMMAND=<the subcommand to type, possibly misspelled; omitted
+#                 for a bench binary>
 #   -DARGS=<optional flags to pass, possibly misspelled>
 #   -DEXPECT=<the subcommand or flag the CLI must suggest>
 # A flag suggestion must reach stderr; a subcommand one may use either

@@ -102,5 +102,41 @@ TEST_F(ServiceCacheTest, DuplicateAppendsAreIdempotent) {
   EXPECT_EQ(hit->rounds, 8u);
 }
 
+TEST_F(ServiceCacheTest, DamagedLinesBeforeTheEntryAreSkipped) {
+  const std::string key = "row/1 n=8 seed=5";
+  {
+    ResultCache writer(dir_);
+    writer.put(key, {11, true});
+  }
+  // Rewrite the key's bucket: in front of the real entry, a torn copy of
+  // it (a writer killed mid-append, later newline-terminated), copies
+  // with a damaged rounds or completed field, a near-miss key under the
+  // same hash, and garbage.
+  std::string bucketPath;
+  for (const auto& file : std::filesystem::directory_iterator(dir_)) {
+    bucketPath = file.path().string();
+  }
+  ASSERT_FALSE(bucketPath.empty());
+  const auto original = readFileIfExists(bucketPath);
+  ASSERT_TRUE(original.has_value());
+  const std::string entry = original->substr(0, original->size() - 1);
+  const std::string hash = entry.substr(0, 16);
+  std::string damaged;
+  damaged += entry.substr(0, entry.size() - 4) + '\n';  // torn key
+  damaged += hash + " 1x 1 " + key + '\n';              // bad rounds
+  damaged += hash + " 99 2 " + key + '\n';              // bad completed
+  damaged += hash + " 99 1 " + key + " extra\n";        // near-miss key
+  damaged += hash + '\n';
+  damaged += "garbage\n";
+  damaged += *original;
+  damaged += hash + " 12";  // a torn tail after it
+  writeFileDurable(bucketPath, damaged);
+
+  const auto hit = ResultCache(dir_).get(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->rounds, 11u);
+  EXPECT_TRUE(hit->completed);
+}
+
 }  // namespace
 }  // namespace dynbcast

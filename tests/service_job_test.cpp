@@ -8,6 +8,7 @@
 #include <string>
 
 #include "src/adversary/beam.h"
+#include "src/dynamics/registry.h"
 #include "src/engine/scenario.h"
 #include "src/engine/task_plan.h"
 #include "src/service/job.h"
@@ -149,6 +150,91 @@ TEST(ServiceJobTest, BeamTasksMatchTheSweepDerivation) {
     EXPECT_EQ(actual.rounds, expected) << "size " << n;
     EXPECT_TRUE(actual.completed);
   }
+}
+
+/// The task key as it was spelled before ServiceTaskKeys: the job
+/// re-planned, the dynamics re-parsed and the members re-resolved for
+/// every position. Kept here as the byte-identity oracle.
+[[nodiscard]] std::string perPositionTaskKey(const ServiceRequest& request,
+                                             std::size_t position) {
+  const ScenarioSpec& spec = request.scenario;
+  const ServiceJobPlan plan = planServiceJob(request);
+  if (position >= plan.rowCount) {
+    const std::size_t sizeIndex = position - plan.rowCount;
+    const std::size_t n = spec.sizes[sizeIndex];
+    const bool searched = n <= request.beamMaxN;
+    return "beam/1 n=" + std::to_string(n) + " seed=" +
+           std::to_string(scenarioBeamSeed(spec.masterSeed, sizeIndex)) +
+           " width=" + std::to_string(request.beamWidth) +
+           " moves=8 div=40 searched=" + (searched ? "1" : "0");
+  }
+  const ScenarioRowPlan row = planScenarioRow(spec, position);
+  const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
+  const DynamicsInfo& entry =
+      DynamicsRegistry::instance().info(dynamics.name);
+  std::string backend = "dense";
+  if (entry.mode != DynamicsMode::kAdversaryTrees &&
+      row.n > kAutoSparseThreshold) {
+    const DynamicsInfo& memberEntry = DynamicsRegistry::instance().info(
+        DynamicsSpec::parse(row.memberSpec).name);
+    const bool sparse = spec.backend == BackendChoice::kSparse ||
+                        (spec.backend == BackendChoice::kAuto &&
+                         memberEntry.sparseCapable && !spec.recordHistory);
+    backend = sparse ? "sparse" : "dense";
+  }
+  return "row/1 obj=" + objectiveName(spec.objective) +
+         " dyn=" + dynamics.toString() + " cap=" +
+         std::to_string(spec.roundCap) + " backend=" + backend +
+         " member=" + row.memberSpec + " n=" + std::to_string(row.n) +
+         " seed=" + std::to_string(row.instanceSeed) + " mpos=" +
+         std::to_string(row.memberIndex);
+}
+
+TEST(ServiceJobTest, KeysComputedOncePerRequestMatchPerPositionKeys) {
+  ServiceRequest tree;  // default rooted-tree portfolio, with beam tasks
+  tree.scenario.sizes = {4, 12, 40};
+  tree.scenario.seedsPerSize = 3;
+  tree.scenario.masterSeed = 11;
+  tree.beamMaxN = 12;
+
+  ServiceRequest graphAuto;  // graph model on both sides of the threshold
+  graphAuto.scenario.dynamics = "edge-markovian:p=0.01,q=0.5";
+  graphAuto.scenario.sizes = {16, kAutoSparseThreshold + 904};
+  graphAuto.scenario.seedsPerSize = 2;
+  graphAuto.scenario.backend = BackendChoice::kAuto;
+  ServiceRequest graphSparse = graphAuto;
+  graphSparse.scenario.backend = BackendChoice::kSparse;
+  ServiceRequest graphDense = graphAuto;
+  graphDense.scenario.backend = BackendChoice::kDense;
+
+  ServiceRequest generators;  // legacy alias: members differ from dynamics
+  generators.scenario.dynamics = "nonsplit";
+  generators.scenario.sizes = {8, kAutoSparseThreshold + 1};
+
+  for (const ServiceRequest* request :
+       {&tree, &graphAuto, &graphSparse, &graphDense, &generators}) {
+    const ServiceTaskKeys keys(*request);
+    EXPECT_EQ(keys.plan().taskCount(), planServiceJob(*request).taskCount());
+    for (std::size_t p = 0; p < keys.plan().taskCount(); ++p) {
+      const std::string expected = perPositionTaskKey(*request, p);
+      EXPECT_EQ(keys.key(p), expected) << "position " << p;
+      EXPECT_EQ(serviceTaskKey(*request, p), expected) << "position " << p;
+    }
+  }
+
+  // The cases above do reach every branch of the key.
+  const ServiceTaskKeys treeKeys(tree);
+  const std::size_t beamPos = treeKeys.plan().rowCount;
+  EXPECT_EQ(treeKeys.plan().beamCount, 3u);
+  EXPECT_NE(treeKeys.key(beamPos + 1).find("searched=1"), std::string::npos);
+  EXPECT_NE(treeKeys.key(beamPos + 2).find("searched=0"), std::string::npos);
+  const std::size_t largeRow = 2;  // size index 1, first replicate
+  EXPECT_NE(ServiceTaskKeys(graphAuto).key(largeRow).find("backend=sparse"),
+            std::string::npos);
+  EXPECT_NE(ServiceTaskKeys(graphDense).key(largeRow).find("backend=dense"),
+            std::string::npos);
+  EXPECT_NE(ServiceTaskKeys(graphAuto).key(0).find("backend=dense"),
+            std::string::npos);
 }
 
 TEST(ServiceJobTest, AssembledRowsMatchRunScenario) {

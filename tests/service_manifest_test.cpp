@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/service/manifest.h"
 #include "src/support/file_lock.h"
@@ -87,6 +88,83 @@ TEST_F(ServiceManifestTest, TornTailLineIsSkipped) {
   EXPECT_EQ(state->doneCount, 1u);
   EXPECT_FALSE(state->records[1].has_value());
   EXPECT_EQ(state->pending(0, 3), (std::vector<std::size_t>{1, 2}));
+}
+
+TEST_F(ServiceManifestTest, AGroupCommitsAllItsRecordsInOneAppend) {
+  const std::string manifest = path("group.manifest");
+  initManifest(manifest, kRequest, 5);
+  appendTaskRecords(manifest, {});  // an empty group writes nothing
+  appendTaskRecords(manifest, {{3, 8, true}, {0, 2, false}, {4, 11, true}});
+
+  const auto state = loadManifest(manifest);
+  ASSERT_TRUE(state.has_value());
+  EXPECT_EQ(state->doneCount, 3u);
+  EXPECT_EQ(state->pending(0, 5), (std::vector<std::size_t>{1, 2}));
+  ASSERT_TRUE(state->records[4].has_value());
+  EXPECT_EQ(state->records[4]->rounds, 11u);
+  EXPECT_EQ(*readFileIfExists(manifest),
+            std::string(kManifestVersion) + "\nrequest " + kRequest +
+                "\ntasks 5\ndone 3 8 1\ndone 0 2 0\ndone 4 11 1\n");
+}
+
+TEST_F(ServiceManifestTest, AGroupCutAtAnyByteKeepsExactlyItsWholeRecords) {
+  // A crash during a group commit can leave any prefix of the group on
+  // disk. Cut the group at every byte: loading must return exactly the
+  // records whose text is wholly before the cut, and a later group
+  // appended after the torn tail must keep all of them plus its own.
+  const std::vector<TaskRecord> group = {
+      {4, 120, true}, {0, 7, false}, {9, 33, true}, {2, 1, true}};
+  const std::vector<TaskRecord> later = {{1, 5, true}, {7, 64, false}};
+  const std::string built = path("built.manifest");
+  initManifest(built, kRequest, 10);
+  appendTaskRecord(built, {6, 3, true});  // an earlier, committed group
+  const std::string before = *readFileIfExists(built);
+  appendTaskRecords(built, group);
+  const std::string full = *readFileIfExists(built);
+  ASSERT_GT(full.size(), before.size());
+
+  // Where each record's text ends within the group (its '\n' excluded).
+  std::vector<std::size_t> recordEnds;
+  for (std::size_t i = before.size(); i < full.size(); ++i) {
+    if (full[i] == '\n') recordEnds.push_back(i);
+  }
+  ASSERT_EQ(recordEnds.size(), group.size());
+
+  const std::string cut = path("cut.manifest");
+  for (std::size_t size = before.size(); size < full.size(); ++size) {
+    writeFileDurable(cut, full.substr(0, size));
+    std::size_t whole = 0;
+    while (whole < group.size() && recordEnds[whole] <= size) ++whole;
+
+    const auto state = loadManifest(cut);
+    ASSERT_TRUE(state.has_value()) << "cut at " << size;
+    EXPECT_EQ(state->doneCount, 1 + whole) << "cut at " << size;
+    ASSERT_TRUE(state->records[6].has_value()) << "cut at " << size;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      const auto& record = state->records[group[i].position];
+      ASSERT_EQ(record.has_value(), i < whole)
+          << "cut at " << size << ", record " << i;
+      if (i < whole) {
+        EXPECT_EQ(record->rounds, group[i].rounds) << "cut at " << size;
+        EXPECT_EQ(record->completed, group[i].completed) << "cut at " << size;
+      }
+    }
+
+    appendTaskRecords(cut, later);
+    const auto resumed = loadManifest(cut);
+    ASSERT_TRUE(resumed.has_value()) << "cut at " << size;
+    EXPECT_EQ(resumed->doneCount, 1 + whole + later.size())
+        << "cut at " << size;
+    for (std::size_t i = 0; i < whole; ++i) {
+      EXPECT_TRUE(resumed->records[group[i].position].has_value())
+          << "cut at " << size << ", record " << i;
+    }
+    for (const TaskRecord& record : later) {
+      ASSERT_TRUE(resumed->records[record.position].has_value())
+          << "cut at " << size;
+      EXPECT_EQ(resumed->records[record.position]->rounds, record.rounds);
+    }
+  }
 }
 
 TEST_F(ServiceManifestTest, DuplicateAndOutOfRangeRecordsAreTolerated) {

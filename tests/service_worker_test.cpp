@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -253,6 +254,81 @@ TEST_F(ServiceWorkerTest, OverlappingSweepsExecuteOnlyTheDelta) {
   EXPECT_EQ(thirdReport.cacheHits, 4u);
   EXPECT_EQ(thirdReport.executed, 0u);
   EXPECT_EQ(manifestCsv(again, small), manifestCsv(smallRef, small));
+}
+
+[[nodiscard]] std::vector<std::string> sortedLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::string line;
+  for (const char c : text) {
+    if (c != '\n') {
+      line += c;
+      continue;
+    }
+    lines.push_back(line);
+    line.clear();
+  }
+  if (!line.empty()) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST_F(ServiceWorkerTest, LosingTheLastGroupResumesFromTheCache) {
+  // More tasks than one group: the records land as one full group of
+  // kGroupCommitRecords, then the rest at exit.
+  ServiceRequest request = makeRequest({6, 8, 10});
+  request.scenario.seedsPerSize = 30;
+  const std::size_t tasks = planServiceJob(request).taskCount();
+  ASSERT_GT(tasks, kGroupCommitRecords);
+  const std::string cacheDir = path("cache");
+  const std::string drained = path("drained.manifest");
+  writeManifestFor(drained, request);
+  WorkerOptions first;
+  first.manifestPath = drained;
+  first.cacheDir = cacheDir;
+  const WorkerReport firstReport = runManifestWorker(first);
+  EXPECT_EQ(firstReport.executed, tasks);
+  const std::string drainedBytes = *readFileIfExists(drained);
+  const std::string drainedCsv = manifestCsv(drained, request);
+
+  // A crash during the last commit: the manifest ends after the first
+  // group (3 header lines + kGroupCommitRecords records).
+  std::string truncated;
+  std::size_t lines = 0;
+  for (const char c : drainedBytes) {
+    truncated += c;
+    if (c == '\n' && ++lines == 3 + kGroupCommitRecords) break;
+  }
+  ASSERT_LT(truncated.size(), drainedBytes.size());
+
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+    const std::string manifest =
+        path("lost_group_jobs" + std::to_string(jobs) + ".manifest");
+    writeFileDurable(manifest, truncated);
+    WorkerOptions resume;
+    resume.manifestPath = manifest;
+    resume.cacheDir = cacheDir;
+    resume.jobs = jobs;
+    const WorkerReport report = runManifestWorker(resume);
+    EXPECT_EQ(report.alreadyDone, kGroupCommitRecords) << "jobs=" << jobs;
+    EXPECT_EQ(report.cacheHits, tasks - kGroupCommitRecords)
+        << "jobs=" << jobs;
+    EXPECT_EQ(report.executed, 0u) << "jobs=" << jobs;
+    EXPECT_EQ(manifestCsv(manifest, request), drainedCsv) << "jobs=" << jobs;
+    const auto resumed = loadManifest(manifest);
+    const auto reference = loadManifest(drained);
+    ASSERT_TRUE(resumed.has_value() && reference.has_value());
+    for (std::size_t p = 0; p < tasks; ++p) {
+      ASSERT_TRUE(resumed->records[p].has_value()) << p;
+      EXPECT_EQ(resumed->records[p]->rounds, reference->records[p]->rounds);
+      EXPECT_EQ(resumed->records[p]->completed,
+                reference->records[p]->completed);
+    }
+    // Records land in completion order, so compare the files as sorted
+    // line sets: the same header and the same record lines, byte for byte.
+    EXPECT_EQ(sortedLines(*readFileIfExists(manifest)),
+              sortedLines(drainedBytes))
+        << "jobs=" << jobs;
+  }
 }
 
 TEST_F(ServiceWorkerTest, MissingManifestThrows) {
