@@ -4,20 +4,37 @@
 //       sequences usually get there much earlier.
 //
 // One engine task per size computes both parts for that n; trials inside
-// a task draw from its position-derived Rng.
+// a task draw their seeds and trees from its position-derived Rng. Part
+// (a) runs the registry models nonsplit-random and nonsplit-skewed.
 //
 // Usage: nonsplit_reduction [--sizes=8:2048:2] [--seed=1] [--trials=10]
 //                           [--jobs=N] [--csv=path]
 #include <iostream>
+#include <memory>
 
 #include "bench/driver.h"
 #include "src/bounds/bounds.h"
-#include "src/nonsplit/nonsplit.h"
+#include "src/dynamics/registry.h"
 #include "src/nonsplit/reduction.h"
 #include "src/support/rng.h"
 #include "src/support/table.h"
 #include "src/tree/families.h"
 #include "src/tree/generators.h"
+
+namespace {
+
+/// Broadcast rounds of one run under a registry nonsplit model, capped at
+/// ceil(log2 n) + 8; runDynamicsBroadcast asserts every round's graph is
+/// nonsplit.
+double nonsplitRounds(const char* model, std::size_t n, std::uint64_t seed) {
+  using namespace dynbcast;
+  const std::unique_ptr<DynamicsModel> dynamics =
+      DynamicsRegistry::instance().make(model, n, seed);
+  const auto cap = static_cast<std::size_t>(bounds::nonsplitLogUpper(n)) + 8;
+  return static_cast<double>(runDynamicsBroadcast(n, *dynamics, cap).rounds);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dynbcast;
@@ -43,16 +60,8 @@ int main(int argc, char** argv) {
         Row row;
         Rng rng(taskSeed);
         for (std::size_t t = 0; t < trials; ++t) {
-          row.randAvg += static_cast<double>(
-              runNonsplitBroadcast(
-                  n, [n](Rng& r) { return randomNonsplitGraph(n, 2 * n, r); },
-                  bounds::nonsplitLogUpper(n) + 8, rng)
-                  .rounds);
-          row.skewAvg += static_cast<double>(
-              runNonsplitBroadcast(
-                  n, [n](Rng& r) { return skewedNonsplitGraph(n, r); },
-                  bounds::nonsplitLogUpper(n) + 8, rng)
-                  .rounds);
+          row.randAvg += nonsplitRounds("nonsplit-random", n, rng());
+          row.skewAvg += nonsplitRounds("nonsplit-skewed", n, rng());
         }
         row.randAvg /= static_cast<double>(trials);
         row.skewAvg /= static_cast<double>(trials);

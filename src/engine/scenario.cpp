@@ -44,22 +44,6 @@ namespace {
   return result;
 }
 
-/// Validates one entry of the legacy nonsplit generator list: it must be
-/// a registered graph model of the nonsplit class.
-void validateGeneratorEntry(const std::string& text) {
-  const DynamicsSpec parsed = DynamicsSpec::parse(text);
-  const DynamicsRegistry& registry = DynamicsRegistry::instance();
-  registry.validate(parsed);  // unknown name/key suggestions live here
-  const DynamicsInfo& entry = registry.info(parsed.name);
-  if (entry.mode != DynamicsMode::kGraphModel ||
-      entry.graphClass != DynamicsClass::kNonsplit) {
-    throw std::invalid_argument(
-        "dynamics 'nonsplit': '" + parsed.name +
-        "' is not a nonsplit graph generator (known: nonsplit-random, "
-        "nonsplit-skewed)");
-  }
-}
-
 }  // namespace
 
 Objective parseObjective(const std::string& text) {
@@ -168,20 +152,6 @@ void validateScenario(const ScenarioSpec& spec) {
     return;
   }
 
-  if (entry.mode == DynamicsMode::kGeneratorList) {
-    if (spec.backend == BackendChoice::kSparse) {
-      throw std::invalid_argument(
-          "backend=sparse is not supported under the deprecated '" +
-          dynamics.name +
-          "' alias; name the generator as the dynamics spec instead "
-          "(e.g. dynamics=nonsplit-random)");
-    }
-    for (const std::string& text : resolvedSpecs(spec)) {
-      validateGeneratorEntry(text);
-    }
-    return;
-  }
-
   if (spec.backend == BackendChoice::kSparse) {
     throw std::invalid_argument(
         "dynamics '" + dynamics.name +
@@ -218,7 +188,6 @@ ScenarioResult runScenario(const ScenarioSpec& spec,
   const DynamicsInfo& entry =
       DynamicsRegistry::instance().info(dynamics.name);
   if (entry.mode == DynamicsMode::kGraphModel ||
-      entry.mode == DynamicsMode::kGeneratorList ||
       spec.objective == Objective::kGossip) {
     return runPlannedScenario(spec, engine);
   }

@@ -70,9 +70,6 @@ struct ScenarioSpec {
   /// Adversary spec strings; empty = the dynamics' declared default list
   /// (the standard portfolio for rooted trees). Graph-model dynamics
   /// take no adversaries — the model emits the graphs itself.
-  /// DEPRECATED: under the legacy dynamics="nonsplit" alias these name
-  /// graph generators ("nonsplit-random", "nonsplit-skewed"); spell the
-  /// generator as the dynamics spec instead.
   std::vector<std::string> adversaries;
   /// Capture per-round metrics in every row (costly at large n).
   bool recordHistory = false;
@@ -87,9 +84,9 @@ struct ScenarioSpec {
 };
 
 /// The default member list for a dynamics spec: the standard portfolio
-/// for rooted trees, small-k class members for restricted, both
-/// generators for the legacy nonsplit alias, the model itself for graph
-/// models. Throws std::invalid_argument on unknown dynamics.
+/// for rooted trees, small-k class members for restricted, the model
+/// itself for graph models. Throws std::invalid_argument on unknown
+/// dynamics.
 [[nodiscard]] std::vector<std::string> defaultAdversarySpecs(
     const std::string& dynamics);
 

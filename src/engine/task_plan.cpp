@@ -1,11 +1,9 @@
 #include "src/engine/task_plan.h"
 
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "src/adversary/adversary.h"
-#include "src/adversary/portfolio.h"
 #include "src/adversary/registry.h"
 #include "src/dynamics/registry.h"
 #include "src/sim/gossip.h"
@@ -18,16 +16,12 @@ namespace {
 
 /// Member-index seed decorrelation for graph-model runs: a fixed odd
 /// multiplier on the member index (seeds stay position-derived, so any
-/// job count — or worker process — reproduces them). Matches the
-/// historical nonsplit-path derivation bit for bit.
+/// job count — or worker process — reproduces them). Graph models have
+/// one member, so memberIndex is always 0 here; the formula stays
+/// because it fixes every committed graph-model row.
 [[nodiscard]] std::uint64_t memberSeed(std::uint64_t instanceSeed,
                                        std::size_t memberIndex) {
   return instanceSeed ^ (0x9e3779b97f4a7c15ull * (memberIndex + 1));
-}
-
-[[nodiscard]] bool isModelScenario(const DynamicsInfo& entry) {
-  return entry.mode == DynamicsMode::kGraphModel ||
-         entry.mode == DynamicsMode::kGeneratorList;
 }
 
 }  // namespace
@@ -37,18 +31,16 @@ std::vector<std::string> resolvedScenarioMemberSpecs(
   const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
   const DynamicsInfo& entry =
       DynamicsRegistry::instance().info(dynamics.name);
-  std::vector<std::string> texts = spec.adversaries.empty()
-                                       ? defaultAdversarySpecs(spec.dynamics)
-                                       : spec.adversaries;
   // Canonicalize through the axis each spec actually belongs to, so the
   // returned strings are stable cache-key components.
   if (entry.mode == DynamicsMode::kGraphModel) {
     return {dynamics.toString()};
   }
+  std::vector<std::string> texts = spec.adversaries.empty()
+                                       ? defaultAdversarySpecs(spec.dynamics)
+                                       : spec.adversaries;
   for (std::string& text : texts) {
-    text = entry.mode == DynamicsMode::kGeneratorList
-               ? DynamicsSpec::parse(text).toString()
-               : AdversarySpec::parse(text).toString();
+    text = AdversarySpec::parse(text).toString();
   }
   return texts;
 }
@@ -85,59 +77,55 @@ ScenarioRowPlan planScenarioRow(const ScenarioSpec& spec,
   return plan;
 }
 
+bool scenarioRowRunsSparse(const ScenarioSpec& spec,
+                           const DynamicsInfo& dynamics, std::size_t n) {
+  if (dynamics.mode != DynamicsMode::kGraphModel) return false;
+  return spec.backend == BackendChoice::kSparse ||
+         (spec.backend == BackendChoice::kAuto && dynamics.sparseCapable &&
+          !spec.recordHistory && n > kAutoSparseThreshold);
+}
+
 SweepRow runScenarioRow(const ScenarioSpec& spec, std::size_t position) {
-  const ScenarioRowPlan plan = planScenarioRow(spec, position);
-  const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
-  const DynamicsInfo& entry =
-      DynamicsRegistry::instance().info(dynamics.name);
+  const std::vector<std::string> members = resolvedScenarioMemberSpecs(spec);
+  const ScenarioRowPlan plan = planScenarioRow(spec, members, position);
+  const DynamicsInfo& entry = DynamicsRegistry::instance().info(
+      DynamicsSpec::parse(spec.dynamics).name);
 
   SweepRow row;
   row.n = plan.n;
   row.seedIndex = plan.seedIndex;
   row.instanceSeed = plan.instanceSeed;
+  row.member = plan.memberSpec;
 
-  if (isModelScenario(entry)) {
+  BroadcastRun run;
+  if (entry.mode == DynamicsMode::kGraphModel) {
     const std::uint64_t seed = memberSeed(plan.instanceSeed, plan.memberIndex);
-    const DynamicsSpec model = DynamicsSpec::parse(plan.memberSpec);
     const std::unique_ptr<DynamicsModel> instance =
-        DynamicsRegistry::instance().make(model, plan.n, seed);
+        DynamicsRegistry::instance().make(plan.memberSpec, plan.n, seed);
     const std::size_t cap =
         spec.roundCap != 0 ? spec.roundCap : instance->defaultRoundCap();
-    const bool useSparse =
-        spec.backend == BackendChoice::kSparse ||
-        (spec.backend == BackendChoice::kAuto &&
-         instance->supportsSparseRounds() && !spec.recordHistory &&
-         plan.n > kAutoSparseThreshold);
-    BroadcastRun run =
-        useSparse ? runFrontierDynamicsBroadcast(plan.n, *instance, cap,
-                                                 spec.recordHistory, seed)
-                  : runDynamicsBroadcast(plan.n, *instance, cap,
-                                         spec.recordHistory);
-    row.member = model.toString();
-    row.rounds = run.rounds;
-    row.completed = run.completed;
-    row.history = std::move(run.history);
-    return row;
-  }
-
-  // Adversary-driven tree dynamics: materialize this instance's member
-  // list (factories are lazy closures — construction is cheap) and run
-  // the one member this position addresses.
-  const std::vector<PortfolioMember> members = membersFromSpecs(
-      resolvedScenarioMemberSpecs(spec), plan.n, plan.instanceSeed);
-  const PortfolioMember& member = members[plan.memberIndex];
-  const std::unique_ptr<Adversary> adversary = member.make();
-  BroadcastRun run;
-  if (spec.objective == Objective::kGossip) {
-    const std::size_t cap =
-        spec.roundCap != 0 ? spec.roundCap : defaultGossipRoundCap(plan.n);
-    run = runAdversaryGossip(plan.n, *adversary, cap, spec.recordHistory);
+    run = scenarioRowRunsSparse(spec, entry, plan.n)
+              ? runFrontierDynamicsBroadcast(plan.n, *instance, cap,
+                                             spec.recordHistory, seed)
+              : runDynamicsBroadcast(plan.n, *instance, cap,
+                                     spec.recordHistory);
   } else {
-    const std::size_t cap =
-        spec.roundCap != 0 ? spec.roundCap : defaultRoundCap(plan.n);
-    run = runAdversary(plan.n, *adversary, cap, spec.recordHistory);
+    // Adversary-driven tree dynamics: build only the member this position
+    // addresses, from its canonical spec and the instance seed — what
+    // membersFromSpecs would hand it.
+    const std::unique_ptr<Adversary> adversary =
+        AdversaryRegistry::instance().make(plan.memberSpec, plan.n,
+                                           plan.instanceSeed);
+    if (spec.objective == Objective::kGossip) {
+      const std::size_t cap =
+          spec.roundCap != 0 ? spec.roundCap : defaultGossipRoundCap(plan.n);
+      run = runAdversaryGossip(plan.n, *adversary, cap, spec.recordHistory);
+    } else {
+      const std::size_t cap =
+          spec.roundCap != 0 ? spec.roundCap : defaultRoundCap(plan.n);
+      run = runAdversary(plan.n, *adversary, cap, spec.recordHistory);
+    }
   }
-  row.member = member.name;
   row.rounds = run.rounds;
   row.completed = run.completed;
   row.history = std::move(run.history);

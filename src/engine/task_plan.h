@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "src/dynamics/registry.h"
 #include "src/engine/scenario.h"
 
 namespace dynbcast {
@@ -49,16 +50,16 @@ struct ScenarioRowPlan {
   std::size_t n = 0;
   std::uint64_t instanceSeed = 0;  // SeedSequence(masterSeed) position seed
   /// Canonical spec string of the member at memberIndex: an adversary
-  /// spec under adversary-driven dynamics, the dynamics/generator spec
-  /// under graph models. Sorted-key canonical form — usable as a cache
-  /// key component as-is.
+  /// spec under adversary-driven dynamics, the dynamics spec under
+  /// graph models. Sorted-key canonical form — usable as a cache key
+  /// component as-is.
   std::string memberSpec;
 };
 
 /// The resolved member spec list, canonicalized: the spec's adversaries
 /// (or the dynamics' default list) under adversary-driven dynamics, the
-/// model itself (or the legacy generator list) under graph models. The
-/// spec must already satisfy validateScenario().
+/// model itself under graph models. The spec must already satisfy
+/// validateScenario().
 [[nodiscard]] std::vector<std::string> resolvedScenarioMemberSpecs(
     const ScenarioSpec& spec);
 
@@ -78,6 +79,17 @@ struct ScenarioRowPlan {
 [[nodiscard]] ScenarioRowPlan planScenarioRow(
     const ScenarioSpec& spec, const std::vector<std::string>& members,
     std::size_t position);
+
+/// Whether a row of size n runs on the sparse backend (FrontierSim)
+/// instead of the dense BroadcastSim: always under backend=sparse; under
+/// backend=auto when the dynamics is a sparse-capable graph model, no
+/// per-round history is wanted and n > kAutoSparseThreshold; never under
+/// adversary-driven dynamics. `dynamics` is the registry entry of
+/// spec.dynamics. runScenarioRow executes this choice and the service's
+/// task keys spell it, so both ask here.
+[[nodiscard]] bool scenarioRowRunsSparse(const ScenarioSpec& spec,
+                                         const DynamicsInfo& dynamics,
+                                         std::size_t n);
 
 /// Executes position `position` on the calling thread and returns the
 /// row runScenario() would produce there, byte-identical. The spec must

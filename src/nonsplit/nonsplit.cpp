@@ -1,6 +1,5 @@
 #include "src/nonsplit/nonsplit.h"
 
-#include "src/sim/broadcast_sim.h"
 #include "src/support/assert.h"
 
 namespace dynbcast {
@@ -71,29 +70,6 @@ BitMatrix skewedNonsplitGraph(std::size_t n, Rng& rng) {
   }
   DYNBCAST_ASSERT(isNonsplit(g));
   return g;
-}
-
-NonsplitRun runNonsplitBroadcast(
-    std::size_t n, const std::function<BitMatrix(Rng&)>& makeGraph,
-    std::size_t maxRounds, Rng& rng) {
-  BroadcastSim sim(n);
-  NonsplitRun run;
-  if (sim.broadcastDone()) {
-    run.completed = true;
-    return run;
-  }
-  while (sim.round() < maxRounds) {
-    const BitMatrix g = makeGraph(rng);
-    DYNBCAST_ASSERT_MSG(isNonsplit(g), "adversary move must be nonsplit");
-    sim.applyGraph(g);
-    if (sim.broadcastDone()) {
-      run.rounds = sim.round();
-      run.completed = true;
-      return run;
-    }
-  }
-  run.rounds = sim.round();
-  return run;
 }
 
 }  // namespace dynbcast

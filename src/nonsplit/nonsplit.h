@@ -8,13 +8,13 @@
 // see reduction.h) this gave the pre-paper O(n log log n) bound that
 // Theorem 3.1 replaces.
 //
-// This module generates nonsplit adversary moves and measures broadcast
-// under them, so the benches can exhibit the logarithmic regime next to
-// the linear tree regime.
+// This module generates nonsplit graphs. The dynamics registry's
+// nonsplit-random and nonsplit-skewed models emit them round by round,
+// and runDynamicsBroadcast measures broadcast under them, so the benches
+// can exhibit the logarithmic regime next to the linear tree regime.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "src/graph/bitmatrix.h"
 #include "src/graph/properties.h"
@@ -41,17 +41,5 @@ namespace dynbcast {
 /// graph. Requires 0 ≤ p ≤ 1.
 [[nodiscard]] BitMatrix bernoulliNonsplitGraph(std::size_t n, double p,
                                                Rng& rng);
-
-/// Runs broadcast where every round's graph is produced by `makeGraph`
-/// (must be reflexive; nonsplitness is asserted). Returns rounds until
-/// some node is heard by everyone, or maxRounds when incomplete.
-struct NonsplitRun {
-  std::size_t rounds = 0;
-  bool completed = false;
-};
-
-[[nodiscard]] NonsplitRun runNonsplitBroadcast(
-    std::size_t n, const std::function<BitMatrix(Rng&)>& makeGraph,
-    std::size_t maxRounds, Rng& rng);
 
 }  // namespace dynbcast

@@ -41,36 +41,14 @@ ServiceTaskKeys::ServiceTaskKeys(const ServiceRequest& request)
       members_(resolvedScenarioMemberSpecs(request.scenario)) {
   const ScenarioSpec& spec = request.scenario;
   const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
-  const DynamicsInfo& entry =
-      DynamicsRegistry::instance().info(dynamics.name);
   // The backend that actually runs a row, as a cache-key token. Below
   // the mirror threshold sparse and dense produce identical rows, so
   // everything normalizes to "dense" and requests differing only in
-  // backend choice share cache cells. Above it, the resolution mirrors
-  // runScenarioRow's: explicit sparse, or auto over a sparse-capable
-  // model — looked up on the MEMBER model (which under the legacy
-  // generator-list alias differs from the dynamics entry). Registry
-  // sparseCapable and the constructed model's supportsSparseRounds
-  // agree; validateScenario enforces the former wherever the latter
-  // could run.
-  // Members are looked up only when some size is above the threshold,
-  // as the per-row resolution did.
-  bool anyAboveThreshold = false;
-  for (const std::size_t n : spec.sizes) {
-    anyAboveThreshold = anyAboveThreshold || n > kAutoSparseThreshold;
-  }
-  sparseAboveThreshold_.reserve(members_.size());
-  for (const std::string& member : members_) {
-    bool sparse = false;
-    if (anyAboveThreshold && entry.mode != DynamicsMode::kAdversaryTrees) {
-      const DynamicsInfo& memberEntry = DynamicsRegistry::instance().info(
-          DynamicsSpec::parse(member).name);
-      sparse = spec.backend == BackendChoice::kSparse ||
-               (spec.backend == BackendChoice::kAuto &&
-                memberEntry.sparseCapable && !spec.recordHistory);
-    }
-    sparseAboveThreshold_.push_back(sparse ? 1 : 0);
-  }
+  // backend choice share cache cells. Above it the choice does not
+  // depend on n, so one answer serves every size there.
+  sparseAboveThreshold_ = scenarioRowRunsSparse(
+      spec, DynamicsRegistry::instance().info(dynamics.name),
+      kAutoSparseThreshold + 1);
   rowPrefix_ = "row/1 obj=" + objectiveName(spec.objective) +
                " dyn=" + dynamics.toString() +
                " cap=" + std::to_string(spec.roundCap) + " backend=";
@@ -91,8 +69,7 @@ std::string ServiceTaskKeys::key(std::size_t position) const {
   }
 
   const ScenarioRowPlan row = planScenarioRow(spec, members_, position);
-  const bool sparse = row.n > kAutoSparseThreshold &&
-                      sparseAboveThreshold_[row.memberIndex] != 0;
+  const bool sparse = row.n > kAutoSparseThreshold && sparseAboveThreshold_;
   return rowPrefix_ + (sparse ? "sparse" : "dense") +
          " member=" + row.memberSpec + " n=" + std::to_string(row.n) +
          " seed=" + std::to_string(row.instanceSeed) +

@@ -61,8 +61,8 @@ struct ServiceTaskResult {
                                          std::size_t position);
 
 /// Every task key of one request. The per-request part — the job plan,
-/// the resolved member list, each member's backend above the mirror
-/// threshold, and the row-key prefix — is computed once here; key(p)
+/// the resolved member list, the backend above the mirror threshold, and
+/// the row-key prefix — is computed once here; key(p)
 /// appends only position p's part. key(p) == serviceTaskKey(request, p)
 /// byte for byte (serviceTaskKey is this class, used for one key).
 /// Keeps a reference to `request`, which must outlive it.
@@ -79,8 +79,9 @@ class ServiceTaskKeys {
   const ServiceRequest& request_;
   ServiceJobPlan plan_;
   std::vector<std::string> members_;
-  /// Per member: its rows run sparse above kAutoSparseThreshold.
-  std::vector<char> sparseAboveThreshold_;
+  /// Rows above kAutoSparseThreshold run sparse
+  /// (scenarioRowRunsSparse).
+  bool sparseAboveThreshold_ = false;
   /// "row/1 obj=... dyn=... cap=... backend=".
   std::string rowPrefix_;
 };

@@ -169,44 +169,36 @@ TEST(ScenarioTest, RestrictedClassParamsNarrowTheDefaultMembers) {
 }
 
 TEST(ScenarioTest, LegacyNonsplitAliasStaysWithinTheLogBound) {
-  // The deprecated dynamics="nonsplit" form: generator names ride in the
-  // adversaries field (default = both generators). Kept working so old
-  // invocations and scripts survive the model-zoo migration.
+  // Both nonsplit models, named as the dynamics spec, stay inside their
+  // ceil(log2 n) + 8 round cap ([2]'s logarithmic regime).
   ExperimentEngine engine;
-  ScenarioSpec scenario;
-  scenario.dynamics = "nonsplit";
-  scenario.sizes = {16, 32};
-  scenario.seedsPerSize = 2;
-  const ScenarioResult result = runScenario(scenario, engine);
-  ASSERT_EQ(result.rows.size(), 2u * 2u * 2u);
-  for (const ScenarioRow& row : result.rows) {
-    EXPECT_TRUE(row.completed) << row.member;
-    EXPECT_LE(row.rounds, bounds::nonsplitLogUpper(row.n) + 8)
-        << row.member;
+  for (const std::string& dynamics :
+       {std::string("nonsplit-random"), std::string("nonsplit-skewed")}) {
+    ScenarioSpec scenario;
+    scenario.dynamics = dynamics;
+    scenario.sizes = {16, 32};
+    scenario.seedsPerSize = 2;
+    const ScenarioResult result = runScenario(scenario, engine);
+    ASSERT_EQ(result.rows.size(), 2u * 2u) << dynamics;
+    for (const ScenarioRow& row : result.rows) {
+      EXPECT_EQ(row.member, dynamics);
+      EXPECT_TRUE(row.completed) << dynamics;
+      EXPECT_LE(row.rounds, bounds::nonsplitLogUpper(row.n) + 8) << dynamics;
+    }
   }
 }
 
-TEST(ScenarioTest, SingleModelRunsReproduceTheLegacyAliasBitForBit) {
-  // Migration guarantee: naming a generator as the dynamics spec yields
-  // exactly the rows the old alias produced for that member — same
-  // member-index seed derivation, same caps, same graphs.
-  ExperimentEngine engine;
-  ScenarioSpec alias;
-  alias.dynamics = "nonsplit";
-  alias.sizes = {16, 24};
-  alias.seedsPerSize = 2;
-  alias.masterSeed = 7;
-  alias.adversaries = {"nonsplit-random", "nonsplit-skewed"};
-  const ScenarioResult old = runScenario(alias, engine);
-
-  ScenarioSpec direct = alias;
-  direct.dynamics = "nonsplit-random";
-  direct.adversaries = {};
-  const ScenarioResult fresh = runScenario(direct, engine);
-
-  ASSERT_EQ(old.rows.size(), 2 * fresh.rows.size());
-  for (std::size_t i = 0; i < fresh.rows.size(); ++i) {
-    EXPECT_EQ(fresh.rows[i], old.rows[2 * i]) << "instance " << i;
+TEST(ScenarioTest, TheRemovedNonsplitAliasIsAnUnknownModel) {
+  ScenarioSpec scenario;
+  scenario.dynamics = "nonsplit";
+  scenario.sizes = {8};
+  try {
+    validateScenario(scenario);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown dynamics model 'nonsplit'"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -234,7 +226,7 @@ TEST(ScenarioTest, GraphModelDynamicsRejectAdversaries) {
 TEST(ScenarioTest, GossipIsRejectedOnGraphModelDynamics) {
   ExperimentEngine engine;
   for (const std::string& dynamics :
-       {std::string("nonsplit"), std::string("nonsplit-skewed"),
+       {std::string("nonsplit-random"), std::string("nonsplit-skewed"),
         std::string("edge-markovian")}) {
     ScenarioSpec scenario;
     scenario.objective = Objective::kGossip;
@@ -249,9 +241,8 @@ TEST(ScenarioTest, GossipIsRejectedOnGraphModelDynamics) {
 TEST(ScenarioTest, UnknownNonsplitGeneratorSuggests) {
   ExperimentEngine engine;
   ScenarioSpec scenario;
-  scenario.dynamics = "nonsplit";
+  scenario.dynamics = "nonsplit-rando";
   scenario.sizes = {8};
-  scenario.adversaries = {"nonsplit-rando"};
   try {
     (void)runScenario(scenario, engine);
     FAIL() << "expected std::invalid_argument";
@@ -289,7 +280,7 @@ TEST(ScenarioTest, RowsAreBitIdenticalAcrossJobCounts) {
   // position, so any --jobs value produces the same rows — including
   // for the stochastic model-zoo dynamics.
   for (const std::string& dynamics :
-       {std::string("rooted-tree"), std::string("nonsplit"),
+       {std::string("rooted-tree"), std::string("nonsplit-skewed"),
         std::string("edge-markovian:p=0.2,q=0.1"),
         std::string("t-interval:T=3")}) {
     ScenarioSpec scenario;
@@ -428,8 +419,6 @@ TEST(ScenarioBackendTest, SparseIsRejectedWhereItCannotRun) {
       // Adversary-driven dynamics read the dense simulator state.
       {"rooted-tree", "adversary-driven"},
       {"restricted", "adversary-driven"},
-      // The deprecated alias must point at the direct spelling.
-      {"nonsplit", "nonsplit-random"},
       // A graph model without a sparse path must name the capable ones.
       {"nonsplit-skewed", "sparse-capable"},
   };

@@ -118,20 +118,6 @@ TEST(TaskPlanTest, GraphModelPathMatchesRunScenario) {
   }
 }
 
-// The legacy generator-list alias resolves its members through the
-// dynamics axis; the plan must canonicalize the same way.
-TEST(TaskPlanTest, GeneratorListAliasMatchesRunScenario) {
-  ScenarioSpec spec;
-  spec.dynamics = "nonsplit";
-  spec.sizes = {5, 7};
-  spec.seedsPerSize = 2;
-  spec.masterSeed = 9;
-
-  ExperimentEngine engine = makeEngine(2);
-  const ScenarioResult direct = runScenario(spec, engine);
-  expectRowsEqual(direct.rows, rowsFromPlan(spec));
-}
-
 TEST(TaskPlanTest, BeamSeedMatchesSweepDerivation) {
   // The CLI sweep derives beam task seeds as
   // engine.map(count, masterSeed ^ 0xbea3, ...) — i.e.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "src/bounds/bounds.h"
+#include "src/dynamics/registry.h"
 #include "src/nonsplit/reduction.h"
 #include "src/support/rng.h"
 #include "src/tree/families.h"
@@ -31,26 +35,30 @@ TEST(NonsplitGeneratorTest, SkewedGraphsAreNonsplit) {
   }
 }
 
+/// Broadcast under a registry nonsplit model, capped at ceil(log2 n) + 5.
+/// runDynamicsBroadcast asserts every round's graph is nonsplit.
+BroadcastRun runNonsplitModel(const std::string& model, std::size_t n,
+                              std::uint64_t seed) {
+  const std::unique_ptr<DynamicsModel> dynamics =
+      DynamicsRegistry::instance().make(model, n, seed);
+  return runDynamicsBroadcast(
+      n, *dynamics, static_cast<std::size_t>(bounds::nonsplitLogUpper(n)) + 5);
+}
+
 TEST(NonsplitBroadcastTest, FinishesWithinLogBound) {
   // [2]: broadcast under nonsplit adversaries takes ≤ ⌈log₂ n⌉ rounds.
-  Rng rng(3);
   for (const std::size_t n : {4u, 16u, 64u, 128u}) {
-    const NonsplitRun run = runNonsplitBroadcast(
-        n,
-        [n](Rng& r) { return randomNonsplitGraph(n, 2 * n, r); },
-        bounds::nonsplitLogUpper(n) + 5, rng);
+    const BroadcastRun run = runNonsplitModel("nonsplit-random", n, 3);
     EXPECT_TRUE(run.completed) << "n=" << n;
     EXPECT_LE(run.rounds, bounds::nonsplitLogUpper(n) + 2) << "n=" << n;
   }
 }
 
 TEST(NonsplitBroadcastTest, SkewedAlsoLogarithmic) {
-  Rng rng(4);
   const std::size_t n = 64;
-  const NonsplitRun run = runNonsplitBroadcast(
-      n, [n](Rng& r) { return skewedNonsplitGraph(n, r); },
-      bounds::nonsplitLogUpper(n) + 5, rng);
+  const BroadcastRun run = runNonsplitModel("nonsplit-skewed", n, 4);
   EXPECT_TRUE(run.completed);
+  EXPECT_LE(run.rounds, bounds::nonsplitLogUpper(n) + 2);
 }
 
 TEST(ReductionTest, ProductOfTreesMatchesManualProduct) {

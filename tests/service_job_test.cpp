@@ -207,12 +207,17 @@ TEST(ServiceJobTest, KeysComputedOncePerRequestMatchPerPositionKeys) {
   ServiceRequest graphDense = graphAuto;
   graphDense.scenario.backend = BackendChoice::kDense;
 
-  ServiceRequest generators;  // legacy alias: members differ from dynamics
-  generators.scenario.dynamics = "nonsplit";
-  generators.scenario.sizes = {8, kAutoSparseThreshold + 1};
+  // Both outcomes of scenarioRowRunsSparse under backend=auto above the
+  // threshold: a sparse-capable model and a dense-only one.
+  ServiceRequest sparseCapable;
+  sparseCapable.scenario.dynamics = "nonsplit-random";
+  sparseCapable.scenario.sizes = {8, kAutoSparseThreshold + 1};
+  ServiceRequest denseOnly = sparseCapable;
+  denseOnly.scenario.dynamics = "nonsplit-skewed";
 
   for (const ServiceRequest* request :
-       {&tree, &graphAuto, &graphSparse, &graphDense, &generators}) {
+       {&tree, &graphAuto, &graphSparse, &graphDense, &sparseCapable,
+        &denseOnly}) {
     const ServiceTaskKeys keys(*request);
     EXPECT_EQ(keys.plan().taskCount(), planServiceJob(*request).taskCount());
     for (std::size_t p = 0; p < keys.plan().taskCount(); ++p) {
@@ -234,6 +239,10 @@ TEST(ServiceJobTest, KeysComputedOncePerRequestMatchPerPositionKeys) {
   EXPECT_NE(ServiceTaskKeys(graphDense).key(largeRow).find("backend=dense"),
             std::string::npos);
   EXPECT_NE(ServiceTaskKeys(graphAuto).key(0).find("backend=dense"),
+            std::string::npos);
+  EXPECT_NE(ServiceTaskKeys(sparseCapable).key(1).find("backend=sparse"),
+            std::string::npos);
+  EXPECT_NE(ServiceTaskKeys(denseOnly).key(1).find("backend=dense"),
             std::string::npos);
 }
 

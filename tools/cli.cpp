@@ -511,9 +511,7 @@ int runList(int argc, const char* const* argv) {
       std::cout << "  " << name << "  ["
                 << (info.mode == DynamicsMode::kGraphModel
                         ? "graph model"
-                        : info.mode == DynamicsMode::kGeneratorList
-                              ? "deprecated generator-list alias"
-                              : "adversary-driven")
+                        : "adversary-driven")
                 << ", class=" << dynamicsClassName(info.graphClass)
                 << (info.stochastic ? ", stochastic" : "")
                 << (info.sparseCapable ? ", sparse-capable" : "")
@@ -524,9 +522,6 @@ int runList(int argc, const char* const* argv) {
       for (const DynamicsParamDoc& param : info.params) {
         std::cout << "      " << param.key << "=" << param.defaultValue
                   << "  " << param.description << '\n';
-      }
-      if (!info.deprecation.empty()) {
-        std::cout << "      deprecated: " << info.deprecation << '\n';
       }
     }
 
