@@ -431,6 +431,7 @@ struct ExhaustiveWitness {
         return true;
       }
     }
+    if (nodes > opts.nodeBudget) return false;  // gave up, not refuted
     const auto [fit, inserted] = failedAt.emplace(key, remaining);
     if (!inserted && fit->second > remaining) fit->second = remaining;
     return false;
@@ -541,6 +542,7 @@ struct StructuredWitness {
         return true;
       }
     }
+    if (nodes > opts.nodeBudget) return false;  // gave up, not refuted
     const auto [fit, inserted] = failedAt.emplace(key, remaining);
     if (!inserted && fit->second > remaining) fit->second = remaining;
     return false;
@@ -648,37 +650,40 @@ std::vector<RootedTree> ExactSolver::witnessPlay(
                            options_.canonicalize};
   StructuredWitness structured{n_, witnessOptions};
 
-  // Descending targets: the failure memos carry over, so a failed
-  // attempt at t seeds the attempt at t − 1. Target 1 always succeeds
-  // (an empty line plus the star finisher).
-  for (std::size_t t = targetRounds; t >= 1; --t) {
-    std::vector<RootedTree> play;
-    bool found = false;
-    if (exhaustive) {
-      std::vector<std::uint32_t> line(t - 1, 0);
-      if (packed.dfs(encodeIdentity(n_), t - 1, line)) {
-        for (const std::uint32_t m : line) play.push_back(pool.tree(m));
-        found = true;
-      }
-    } else {
-      std::vector<DynBitset> heard(n_, DynBitset(n_));
-      for (std::size_t y = 0; y < n_; ++y) heard[y].set(y);
-      std::vector<RootedTree> line(t - 1, RootedTree::trivial());
-      if (structured.dfs(heard, std::vector<std::size_t>(n_, 1), t - 1,
-                         line)) {
-        play = std::move(line);
-        found = true;
-      }
-    }
-    if (!found) continue;
+  // The static path 0 → 1 → … → n−1 delays broadcast to round n−1, so
+  // no search is needed at or below that: `staticRounds` − 1 path
+  // rounds plus the star finisher.
+  const std::size_t staticRounds = std::min(targetRounds, n_ - 1);
+  const auto finish = [&](std::vector<RootedTree> play) {
     // One completing move always exists: a star makes every process
     // hear the center's full history, center included.
     play.push_back(makeStar(n_, 0));
     DYNBCAST_ASSERT_MSG(replayRows(n_, play) == play.size(),
                         "witness line does not replay to its length");
     return play;
+  };
+
+  // Descending targets, each with its own node budget: the failure
+  // memos carry over, so a refuted attempt at t seeds the attempt at
+  // t − 1, but a budget spent on t never starves t − 1.
+  for (std::size_t t = targetRounds; t > staticRounds; --t) {
+    packed.nodes = 0;
+    structured.nodes = 0;
+    if (exhaustive) {
+      std::vector<std::uint32_t> line(t - 1, 0);
+      if (!packed.dfs(encodeIdentity(n_), t - 1, line)) continue;
+      std::vector<RootedTree> play;
+      for (const std::uint32_t m : line) play.push_back(pool.tree(m));
+      return finish(std::move(play));
+    }
+    std::vector<DynBitset> heard(n_, DynBitset(n_));
+    for (std::size_t y = 0; y < n_; ++y) heard[y].set(y);
+    std::vector<RootedTree> line(t - 1, RootedTree::trivial());
+    if (structured.dfs(heard, std::vector<std::size_t>(n_, 1), t - 1, line)) {
+      return finish(std::move(line));
+    }
   }
-  return {};  // unreachable: t = 1 cannot fail
+  return finish(std::vector<RootedTree>(staticRounds - 1, makePath(n_)));
 }
 
 }  // namespace dynbcast

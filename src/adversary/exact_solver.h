@@ -65,8 +65,8 @@ struct ExactResult {
 };
 
 struct ExactWitnessOptions {
-  /// Search-node budget; the search gives up (returning the best play
-  /// found at smaller targets) once exhausted.
+  /// Search-node budget per target; once a target exhausts it, the
+  /// search moves on to the next smaller target with a fresh budget.
   std::uint64_t nodeBudget = 2'000'000;
   /// Noisy damage trees per node in the structured pool (n > 8 only).
   std::size_t noisyMovesPerNode = 2;
@@ -98,7 +98,8 @@ class ExactSolver {
   /// Searches for a play achieving `targetRounds` and returns the
   /// longest certified play found (its length may fall short of the
   /// target when the search space or node budget is exhausted; it never
-  /// exceeds the target). The returned sequence replays from the
+  /// exceeds the target, and never falls below min(target, n − 1), the
+  /// static path's rounds). The returned sequence replays from the
   /// identity state to broadcast in exactly its length — verified
   /// internally before returning. Unlike solve(), works for all
   /// 2 ≤ n ≤ kMaxN: the branching pool is complete for n ≤ 8 and

@@ -231,9 +231,13 @@ class EdgeMarkovianModel final : public SeededGraphModel {
       for (const std::uint64_t key : sparseKeys_) {
         if (!rng_.chance(q_)) survivorKeys_.push_back(key);
       }
+      // Candidates arrive in ascending order, so one forward cursor over
+      // the (sorted) present keys rejects present pairs.
       birthKeys_.clear();
+      auto present = sparseKeys_.cbegin();
       skipSampleBernoulli(space, p_, rng_, [&](std::uint64_t i) {
-        if (!std::binary_search(sparseKeys_.begin(), sparseKeys_.end(), i)) {
+        while (present != sparseKeys_.cend() && *present < i) ++present;
+        if (present == sparseKeys_.cend() || *present != i) {
           birthKeys_.push_back(i);
         }
       });

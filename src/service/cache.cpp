@@ -43,8 +43,8 @@ namespace {
 
 }  // namespace
 
-ResultCache::ResultCache(std::string directory, std::size_t memoryCapacity)
-    : directory_(std::move(directory)), capacity_(memoryCapacity) {
+ResultCache::ResultCache(std::string directory)
+    : directory_(std::move(directory)) {
   if (enabled()) makeDirectories(directory_);
 }
 
@@ -56,35 +56,12 @@ std::string ResultCache::bucketPath(std::uint64_t keyHash) const {
   return directory_ + '/' + name;
 }
 
-void ResultCache::remember(const std::string& key, const Value& value) {
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    lru_.front().value = value;
-    return;
-  }
-  lru_.push_front({key, value});
-  index_[key] = lru_.begin();
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
-}
-
-std::optional<ResultCache::Value> ResultCache::get(const std::string& key) {
+std::optional<ResultCache::Value> ResultCache::get(
+    const std::string& key) const {
   if (!enabled()) return std::nullopt;
   const std::uint64_t keyHash = fnv1a64(key);
-  {
-    MutexLock lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return lru_.front().value;
-    }
-  }
-  // LRU miss: scan the key's bucket file (shared-locked whole-file
-  // read, so a concurrent appender can't hand us half a line except as
-  // the torn tail the field parse rejects).
+  // A shared-locked whole-file read, so a concurrent appender can't hand
+  // us half a line except as the torn tail the field parse rejects.
   const std::optional<std::string> bucket =
       readFileIfExists(bucketPath(keyHash));
   if (!bucket.has_value()) return std::nullopt;
@@ -106,21 +83,17 @@ std::optional<ResultCache::Value> ResultCache::get(const std::string& key) {
         entryKey != key) {
       continue;
     }
-    MutexLock lock(mutex_);
-    remember(key, value);
     return value;
   }
   return std::nullopt;
 }
 
-void ResultCache::put(const std::string& key, const Value& value) {
+void ResultCache::put(const std::string& key, const Value& value) const {
   if (!enabled()) return;
   const std::uint64_t keyHash = fnv1a64(key);
   appendLineDurable(bucketPath(keyHash),
                     hex64(keyHash) + ' ' + std::to_string(value.rounds) +
                         ' ' + (value.completed ? "1" : "0") + ' ' + key);
-  MutexLock lock(mutex_);
-  remember(key, value);
 }
 
 }  // namespace dynbcast

@@ -1,5 +1,4 @@
-// The spec-keyed result cache: on-disk bucket files with an in-memory
-// LRU in front.
+// The spec-keyed result cache: append-only bucket files on disk.
 //
 // A task's result is a pure function of its cache key — the canonical
 // spec context plus the position-derived seed (see serviceTaskKey in
@@ -25,19 +24,15 @@
 // always durable ahead of the manifest, which is what lets a crash that
 // loses an uncommitted manifest group cost only cache hits on resume.
 //
-// The LRU layer exists to avoid re-reading bucket files: a get() miss
-// scans one bucket from disk, a hit costs a hash lookup. Entries are
-// tiny (key string + two integers), so the default capacity is generous.
+// There is no in-memory layer: every get() scans one bucket file. Each
+// caller looks a key up at most once (the server's pre-pass only gets;
+// a worker gets, then puts on a miss), and a finished job is answered
+// from its manifest without touching the cache (src/service/server.h).
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
-
-#include "src/support/mutex.h"
-#include "src/support/thread_annotations.h"
 
 namespace dynbcast {
 
@@ -51,35 +46,21 @@ class ResultCache {
   /// `directory` is created if missing; an EMPTY directory string
   /// disables the cache entirely (get always misses, put is a no-op) —
   /// the manifest-only execution mode.
-  explicit ResultCache(std::string directory,
-                       std::size_t memoryCapacity = 65536);
+  explicit ResultCache(std::string directory);
 
   [[nodiscard]] bool enabled() const noexcept { return !directory_.empty(); }
 
-  /// Looks the key up in the LRU, then in its bucket file. Thread-safe.
-  [[nodiscard]] std::optional<Value> get(const std::string& key);
+  /// Scans the key's bucket file. Thread- and multi-process-safe.
+  [[nodiscard]] std::optional<Value> get(const std::string& key) const;
 
-  /// Durably appends the entry to its bucket file and remembers it in
-  /// the LRU. Thread- and multi-process-safe.
-  void put(const std::string& key, const Value& value);
+  /// Durably appends the entry to its bucket file. Thread- and
+  /// multi-process-safe.
+  void put(const std::string& key, const Value& value) const;
 
  private:
-  struct Entry {
-    std::string key;
-    Value value;
-  };
-
   [[nodiscard]] std::string bucketPath(std::uint64_t keyHash) const;
-  void remember(const std::string& key, const Value& value)
-      REQUIRES(mutex_);
 
   std::string directory_;
-  std::size_t capacity_;
-  Mutex mutex_;
-  /// Front = most recently used.
-  std::list<Entry> lru_ GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_
-      GUARDED_BY(mutex_);
 };
 
 }  // namespace dynbcast

@@ -29,8 +29,9 @@ struct SubmitOutcome {
   std::vector<std::size_t> beamRounds;
   std::string jobId;
   /// Server-side accounting: total tasks, tasks already checkpointed
-  /// when the job was (re)opened, tasks satisfied from the result
-  /// cache, tasks actually executed for this submission.
+  /// when an interrupted job was reopened, tasks answered from stored
+  /// results without executing (result-cache lines, or a finished job's
+  /// own manifest), tasks actually executed for this submission.
   std::size_t tasks = 0;
   std::size_t resumed = 0;
   std::size_t cacheHits = 0;

@@ -24,6 +24,12 @@
 //   STATS tasks=<T> resumed=<R> cache-hits=<H> executed=<E>
 //   DONE
 //
+// STATS counts every task once: R were already recorded by an earlier,
+// interrupted run of the job; H (cache-hits) were answered from stored
+// results without executing — from result-cache lines, or, for a job
+// that already finished, from its own manifest; E were executed now.
+// R + H + E = T.
+//
 // or `ERROR <message>` at any point, after which the server closes the
 // connection. The client reconstructs full rows locally: row identity is
 // a pure function of (request, position) — see src/engine/task_plan.h —

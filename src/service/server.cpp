@@ -92,6 +92,30 @@ void runWorkerWave(const ServerOptions& options,
   reapWorkers(workers);
 }
 
+[[nodiscard]] std::string progressLine(std::size_t done, std::size_t total) {
+  return "PROGRESS done=" + std::to_string(done) + " total=" +
+         std::to_string(total);
+}
+
+/// Appends what ends every successful response: a drained job's TASK
+/// lines, its STATS and DONE.
+void appendResultLines(const ManifestState& state, std::size_t resumed,
+                       std::size_t cacheHits,
+                       std::vector<std::string>* lines) {
+  for (std::size_t position = 0; position < state.taskCount; ++position) {
+    const TaskRecord& record = *state.records[position];
+    lines->push_back("TASK " + std::to_string(position) + ' ' +
+                     std::to_string(record.rounds) + ' ' +
+                     (record.completed ? "1" : "0"));
+  }
+  const std::size_t executed = state.taskCount - resumed - cacheHits;
+  lines->push_back("STATS tasks=" + std::to_string(state.taskCount) +
+                   " resumed=" + std::to_string(resumed) + " cache-hits=" +
+                   std::to_string(cacheHits) + " executed=" +
+                   std::to_string(executed));
+  lines->push_back("DONE");
+}
+
 void handleRequest(const ServerOptions& options, LineChannel& channel,
                    const ServiceRequest& request) {
   validateScenario(request.scenario);
@@ -99,8 +123,10 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
   const std::string jobId = requestJobId(request);
   const std::string manifestPath =
       options.stateDir + "/job-" + jobId + ".manifest";
-  const ServiceTaskKeys keys(request);
-  const ServiceJobPlan& plan = keys.plan();
+  const std::size_t taskCount = planServiceJob(request).taskCount();
+  const std::string accepted = std::string(kServiceProtocol) +
+                               " ACCEPTED job=" + jobId + " tasks=" +
+                               std::to_string(taskCount);
 
   std::size_t resumed = 0;
   if (std::optional<ManifestState> existing = loadManifest(manifestPath)) {
@@ -109,32 +135,38 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
                         "; remove the stale manifest");
       return;
     }
-    if (existing->complete()) {
-      // A finished prior submission: its results live in the cache, so
-      // start a fresh manifest and let the pre-pass below reclaim them
-      // as cache hits (or re-execute if the cache was cleared).
-      initManifest(manifestPath, canonical, plan.taskCount());
-    } else {
+    if (!existing->complete()) {
       resumed = existing->doneCount;
+    } else if (existing->taskCount == taskCount) {
+      // A finished prior submission: its manifest holds every result,
+      // so the whole response is one write — nothing is looked up,
+      // recorded or fsynced.
+      std::vector<std::string> lines = {accepted,
+                                        progressLine(taskCount, taskCount)};
+      appendResultLines(*existing, 0, taskCount, &lines);
+      channel.writeLines(lines);
+      return;
+    } else {
+      // Finished under a different plan: start the job afresh.
+      initManifest(manifestPath, canonical, taskCount);
     }
   } else {
-    initManifest(manifestPath, canonical, plan.taskCount());
+    initManifest(manifestPath, canonical, taskCount);
   }
 
-  channel.writeLine(std::string(kServiceProtocol) + " ACCEPTED job=" +
-                    jobId + " tasks=" + std::to_string(plan.taskCount()));
+  channel.writeLine(accepted);
 
   // Cache pre-pass: every pending task already in the result cache gets
   // its record without executing anything — overlapping requests pay
   // only for their delta. The hits are committed as one group (one
   // write, one fsync) before PROGRESS reports them.
-  ResultCache cache(options.stateDir + "/cache");
   std::size_t cacheHits = 0;
   {
+    const ServiceTaskKeys keys(request);
+    const ResultCache cache(options.stateDir + "/cache");
     const std::optional<ManifestState> state = loadManifest(manifestPath);
     std::vector<TaskRecord> hits;
-    for (const std::size_t position :
-         state->pending(0, plan.taskCount())) {
+    for (const std::size_t position : state->pending(0, taskCount)) {
       const auto hit = cache.get(keys.key(position));
       if (!hit.has_value()) continue;
       hits.push_back({position, hit->rounds, hit->completed});
@@ -142,9 +174,7 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
     appendTaskRecords(manifestPath, hits);
     cacheHits = hits.size();
   }
-  channel.writeLine("PROGRESS done=" +
-                    std::to_string(resumed + cacheHits) + " total=" +
-                    std::to_string(plan.taskCount()));
+  channel.writeLine(progressLine(resumed + cacheHits, taskCount));
 
   // Execute the remainder in waves until the manifest drains. Worker
   // death only means its unfinished range stays pending; a wave with
@@ -153,8 +183,7 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
   bool inProcess = options.workers == 0;
   for (;;) {
     const std::optional<ManifestState> state = loadManifest(manifestPath);
-    const std::vector<std::size_t> pending =
-        state->pending(0, plan.taskCount());
+    const std::vector<std::size_t> pending = state->pending(0, taskCount);
     if (pending.empty()) break;
     if (inProcess) {
       WorkerOptions work;
@@ -169,8 +198,7 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
       if (after->doneCount == state->doneCount) inProcess = true;
     }
     const std::optional<ManifestState> after = loadManifest(manifestPath);
-    channel.writeLine("PROGRESS done=" + std::to_string(after->doneCount) +
-                      " total=" + std::to_string(plan.taskCount()));
+    channel.writeLine(progressLine(after->doneCount, taskCount));
   }
 
   const std::optional<ManifestState> finalState = loadManifest(manifestPath);
@@ -178,18 +206,9 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
     channel.writeLine("ERROR job did not drain");
     return;
   }
-  for (std::size_t position = 0; position < plan.taskCount(); ++position) {
-    const TaskRecord& record = *finalState->records[position];
-    channel.writeLine("TASK " + std::to_string(position) + ' ' +
-                      std::to_string(record.rounds) + ' ' +
-                      (record.completed ? "1" : "0"));
-  }
-  const std::size_t executed = plan.taskCount() - resumed - cacheHits;
-  channel.writeLine("STATS tasks=" + std::to_string(plan.taskCount()) +
-                    " resumed=" + std::to_string(resumed) + " cache-hits=" +
-                    std::to_string(cacheHits) + " executed=" +
-                    std::to_string(executed));
-  channel.writeLine("DONE");
+  std::vector<std::string> lines;
+  appendResultLines(*finalState, resumed, cacheHits, &lines);
+  channel.writeLines(lines);
 }
 
 void handleConnection(const ServerOptions& options, OwnedFd fd) {

@@ -8,6 +8,11 @@
 //   already underway) → cache pre-pass (finished cells cost nothing) →
 //   execution of the remaining delta → streamed results.
 //
+// A job whose manifest is already complete (an exact resubmission) is
+// answered from that manifest alone: one read, one socket write, no
+// cache lookups, manifest rewrite or fsync — so its latency does not
+// grow with the cache.
+//
 // Sharding: with workers=N the server spawns N copies of its own binary
 // as `dynbcast work --manifest=...` processes, each owning a disjoint
 // position range. Worker death is not an error — whatever a dead worker

@@ -122,4 +122,13 @@ void LineChannel::writeLine(const std::string& line) {
   writeAll(fd_.get(), line + "\n");
 }
 
+void LineChannel::writeLines(const std::vector<std::string>& lines) {
+  std::string block;
+  for (const std::string& line : lines) {
+    block += line;
+    block += '\n';
+  }
+  writeAll(fd_.get(), block);
+}
+
 }  // namespace dynbcast

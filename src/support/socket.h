@@ -16,6 +16,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace dynbcast {
 
@@ -76,6 +77,8 @@ void writeAll(int fd, const std::string& data);
 /// readLine() strips the trailing '\n'; a cleanly closed peer yields
 /// false. writeLine() appends the '\n' and flushes immediately — the
 /// protocol streams progress, so lines must not sit in a buffer.
+/// writeLines() sends lines that are ready together (a response's
+/// results) as one write, with the same bytes as one writeLine each.
 class LineChannel {
  public:
   explicit LineChannel(OwnedFd fd) : fd_(std::move(fd)) {}
@@ -85,6 +88,7 @@ class LineChannel {
   [[nodiscard]] bool readLine(std::string* line);
 
   void writeLine(const std::string& line);
+  void writeLines(const std::vector<std::string>& lines);
 
   [[nodiscard]] int fd() const noexcept { return fd_.get(); }
 

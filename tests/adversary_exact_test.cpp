@@ -170,17 +170,40 @@ TEST(WitnessPlayTest, CertifiesLowerBoundAtN9) {
 }
 
 TEST(WitnessPlayTest, ExhaustedBudgetStillReturnsAValidShorterPlay) {
-  // A starved search degrades to the longest line it certified — down to
-  // the always-available single finishing move — never to an invalid
+  // A starved search degrades to the static path's n − 1 rounds — the
+  // floor no adversary needs a search for — never to an invalid
   // sequence.
   ExactWitnessOptions opts;
   opts.nodeBudget = 0;
   const std::vector<RootedTree> play =
       ExactSolver(9).witnessPlay(bounds::lowerBound(9), opts);
-  ASSERT_EQ(play.size(), 1u);
+  ASSERT_EQ(play.size(), 8u);
   BroadcastSim sim(9);
-  sim.applyTree(play[0]);
+  for (const RootedTree& tree : play) {
+    EXPECT_FALSE(sim.broadcastDone());
+    sim.applyTree(tree);
+  }
   EXPECT_TRUE(sim.broadcastDone());
+}
+
+TEST(WitnessPlayTest, ABudgetSpentOnTheTopTargetLeavesTheStaticFloor) {
+  // The budget is per target: the top target spending all of it must
+  // not starve the smaller ones down to the bare star. Whatever the
+  // search certifies, the line replays to at least n − 1 rounds.
+  const std::size_t n = 10;
+  ExactWitnessOptions opts;
+  opts.nodeBudget = 200;
+  const std::vector<RootedTree> play =
+      ExactSolver(n).witnessPlay(bounds::lowerBound(n), opts);
+  EXPECT_GE(play.size(), n - 1);
+  EXPECT_LE(play.size(), bounds::lowerBound(n));
+  BroadcastSim sim(n);
+  std::size_t completedAt = 0;
+  for (std::size_t r = 0; r < play.size(); ++r) {
+    sim.applyTree(play[r]);
+    if (sim.broadcastDone() && completedAt == 0) completedAt = r + 1;
+  }
+  EXPECT_EQ(completedAt, play.size());
 }
 
 TEST(WitnessPlayTest, ZeroTargetIsEmpty) {

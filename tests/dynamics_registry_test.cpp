@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "src/graph/properties.h"
 #include "src/sim/broadcast_sim.h"
+#include "src/support/hashing.h"
 
 namespace dynbcast {
 namespace {
@@ -318,6 +320,31 @@ TEST(DynamicsRegistryTest, SparseRoundsMirrorDenseBelowThreshold) {
       }
       EXPECT_EQ(fromArcs, g) << name << " round " << r;
     }
+  }
+}
+
+TEST(DynamicsRegistryTest, NativeSparseEdgeMarkovianRoundsArePinned) {
+  // Just above the mirror threshold edge-Markovian evolves its arc list
+  // natively (births skip-sampled, present pairs rejected). Pins three
+  // rounds' arcs so a change to how births are filtered cannot move the
+  // RNG sequence or the arcs it produces.
+  const std::size_t n = kSparseDenseMirrorMaxN + 1;
+  const auto model = DynamicsRegistry::instance().make(
+      "edge-markovian:p=0.01,q=0.5", n, 2024);
+  ASSERT_TRUE(model->supportsSparseRounds());
+  const std::vector<std::size_t> expectedArcs = {328323, 329097, 328922};
+  const std::vector<std::uint64_t> expectedDigests = {
+      0xe231ee820eeb5e05ull, 0xcf633f643443fb67ull, 0x621867e4c72dbf14ull};
+  SparseRound round;
+  for (std::size_t r = 0; r < 3; ++r) {
+    model->nextSparseRound(round);
+    std::uint64_t digest = hashMix(round.arcs.size());
+    for (const auto& [src, dst] : round.arcs) {
+      const std::uint64_t arc = (std::uint64_t{src} << 32) | dst;
+      digest = hashCombine(digest, hashMix(arc));
+    }
+    EXPECT_EQ(round.arcs.size(), expectedArcs[r]) << "round " << r;
+    EXPECT_EQ(digest, expectedDigests[r]) << "round " << r;
   }
 }
 

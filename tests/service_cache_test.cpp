@@ -1,6 +1,6 @@
 // Result-cache semantics: disk persistence across instances (the
-// cross-process story), LRU eviction transparency, space-bearing keys,
-// and the disabled mode.
+// cross-process story), space-bearing keys, damage tolerance, and the
+// disabled mode.
 
 #include <gtest/gtest.h>
 
@@ -53,7 +53,7 @@ TEST_F(ServiceCacheTest, PutGetRoundTrip) {
 
 TEST_F(ServiceCacheTest, AFreshInstanceReadsWhatAnotherWrote) {
   // Two ResultCache objects over one directory model two processes: the
-  // second's LRU is cold, so a hit proves the bucket files carry it.
+  // reader never saw the put, so a hit proves the bucket files carry it.
   {
     ResultCache writer(dir_);
     writer.put("beam/1 n=16 seed=7 width=256 moves=8 div=40 searched=1",
@@ -77,20 +77,6 @@ TEST_F(ServiceCacheTest, KeysWithManySpacesSurviveVerbatim) {
   const auto hit = ResultCache(dir_).get(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->rounds, 4u);
-}
-
-TEST_F(ServiceCacheTest, LruEvictionFallsThroughToDisk) {
-  ResultCache cache(dir_, /*memoryCapacity=*/2);
-  cache.put("k1", {1, true});
-  cache.put("k2", {2, true});
-  cache.put("k3", {3, true});  // evicts k1 from memory, not from disk
-
-  for (int i = 1; i <= 3; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    const auto hit = cache.get(key);
-    ASSERT_TRUE(hit.has_value()) << key;
-    EXPECT_EQ(hit->rounds, static_cast<std::size_t>(i)) << key;
-  }
 }
 
 TEST_F(ServiceCacheTest, DuplicateAppendsAreIdempotent) {

@@ -11,6 +11,7 @@
 #include <sys/stat.h>
 
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,8 @@
 
 #include "src/engine/scenario.h"
 #include "src/service/client.h"
+#include "src/service/job.h"
+#include "src/service/manifest.h"
 #include "src/service/protocol.h"
 #include "src/service/server.h"
 #include "src/support/file_lock.h"
@@ -97,6 +100,7 @@ TEST_F(ServiceServerTest, SubmitMatchesTheEngineAndResubmitIsAllCacheHits) {
   // Resubmission: the job is complete, so every task is a cache hit and
   // nothing executes — and the rows are still byte-identical.
   const SubmitOutcome warm = submitRequest(socket, request, nullptr);
+  EXPECT_EQ(warm.resumed, 0u);
   EXPECT_EQ(warm.cacheHits, 6u);
   EXPECT_EQ(warm.executed, 0u);
   for (std::size_t i = 0; i < warm.rows.size(); ++i) {
@@ -104,6 +108,72 @@ TEST_F(ServiceServerTest, SubmitMatchesTheEngineAndResubmitIsAllCacheHits) {
   }
 
   server.join();
+}
+
+TEST_F(ServiceServerTest, AFinishedJobIsAnsweredFromItsManifestAlone) {
+  ServiceRequest request;
+  request.scenario.dynamics = "edge-markovian:p=0.3,q=0.3";
+  request.scenario.sizes = {6, 8};
+  request.scenario.seedsPerSize = 3;
+  request.scenario.masterSeed = 11;
+
+  std::thread server = startServer(2);
+  const std::string socket = dir_ + "/sock";
+  const SubmitOutcome cold = submitRequest(socket, request, nullptr);
+  ASSERT_EQ(cold.executed, 6u);
+
+  // With the cache gone, only the manifest can supply the results.
+  const std::string cacheDir = dir_ + "/state/cache";
+  const std::string manifestPath =
+      dir_ + "/state/job-" + requestJobId(request) + ".manifest";
+  std::filesystem::remove_all(cacheDir);
+  const std::optional<std::string> before = readFileIfExists(manifestPath);
+  ASSERT_TRUE(before.has_value());
+
+  const SubmitOutcome warm = submitRequest(socket, request, nullptr);
+  server.join();
+  EXPECT_EQ(warm.tasks, 6u);
+  EXPECT_EQ(warm.resumed, 0u);
+  EXPECT_EQ(warm.cacheHits, 6u);
+  EXPECT_EQ(warm.executed, 0u);
+  EXPECT_EQ(warm.rows, cold.rows);
+  // Nothing was looked up, recorded or rewritten.
+  EXPECT_FALSE(std::filesystem::exists(cacheDir));
+  EXPECT_EQ(readFileIfExists(manifestPath), before);
+}
+
+TEST_F(ServiceServerTest, AFinishedManifestForAnotherPlanIsNotServed) {
+  ServiceRequest request;
+  request.scenario.dynamics = "edge-markovian:p=0.3,q=0.3";
+  request.scenario.sizes = {6, 8, 10};
+  request.scenario.seedsPerSize = 2;
+  request.scenario.masterSeed = 7;
+  ASSERT_EQ(planServiceJob(request).taskCount(), 6u);
+
+  // A complete manifest for this request whose task count disagrees
+  // with its plan: serving it would hand back two bogus rows.
+  makeDirectories(dir_ + "/state");
+  const std::string manifestPath =
+      dir_ + "/state/job-" + requestJobId(request) + ".manifest";
+  initManifest(manifestPath, canonicalRequestString(request), 2);
+  appendTaskRecords(manifestPath, {{0, 99, true}, {1, 99, true}});
+  ASSERT_TRUE(loadManifest(manifestPath)->complete());
+
+  std::thread server = startServer(1);
+  const SubmitOutcome outcome =
+      submitRequest(dir_ + "/sock", request, nullptr);
+  server.join();
+  EXPECT_EQ(outcome.tasks, 6u);
+  EXPECT_EQ(outcome.executed, 6u);
+
+  EngineConfig config;
+  config.jobs = 2;
+  ExperimentEngine engine(config);
+  const ScenarioResult direct = runScenario(request.scenario, engine);
+  ASSERT_EQ(outcome.rows.size(), direct.rows.size());
+  for (std::size_t i = 0; i < outcome.rows.size(); ++i) {
+    EXPECT_EQ(outcome.rows[i], direct.rows[i]) << "row " << i;
+  }
 }
 
 TEST_F(ServiceServerTest, BeamTasksStreamBackForTheoremSweeps) {

@@ -364,6 +364,7 @@ int runPortfolio(int argc, const char* const* argv) {
     scenario.batch =
         parseBatchPolicy(driver.options().getString("batch", "auto"));
     driver.options().rejectUnread();
+    validateScenario(scenario);  // a rejected spec prints no header
 
     driver.printHeader(
         "SCENARIO — objective=" + objectiveName(scenario.objective) +
