@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -11,27 +12,6 @@
 #include "src/support/spec.h"
 
 namespace dynbcast {
-
-namespace {
-
-struct InstancePlan {
-  std::size_t n = 0;
-  std::size_t seedIndex = 0;
-  std::uint64_t instanceSeed = 0;
-  std::vector<PortfolioMember> members;
-  std::size_t firstRow = 0;  // offset of this instance's rows
-};
-
-/// One unit of run-phase work: a scalar (instance, member) run when
-/// laneCount == 1, else a lockstep batch of laneCount consecutive
-/// replicates of the same member position.
-struct RunTask {
-  std::size_t planBegin = 0;
-  std::size_t laneCount = 1;
-  std::size_t memberPos = 0;
-};
-
-}  // namespace
 
 BatchPolicy parseBatchPolicy(const std::string& text) {
   if (text == "auto") return {BatchPolicy::Mode::kAuto, 0};
@@ -74,8 +54,110 @@ std::string batchPolicyName(const BatchPolicy& policy) {
   return "auto";
 }
 
+std::vector<RowChunk> groupLaneChunks(
+    const RowGrid& grid, const std::vector<std::size_t>& positions,
+    const BatchPolicy& policy,
+    const std::function<bool(std::size_t position)>& oblivious) {
+  DYNBCAST_ASSERT(policy.mode != BatchPolicy::Mode::kFixed ||
+                  policy.width >= 1);
+  std::size_t laneWidth = 1;
+  if (policy.mode == BatchPolicy::Mode::kFixed) laneWidth = policy.width;
+  if (policy.mode == BatchPolicy::Mode::kAuto &&
+      grid.replicates >= BatchPolicy::kAutoWidth) {
+    laneWidth = BatchPolicy::kAutoWidth;
+  }
+  // Bucket the positions by (size, member) cell; each bucket stays
+  // ascending because the input is.
+  std::vector<RowChunk> cells(grid.sizes * grid.members);
+  for (const std::size_t position : positions) {
+    DYNBCAST_ASSERT(position < cells.size() * grid.replicates);
+    const std::size_t instance = position / grid.members;
+    cells[instance / grid.replicates * grid.members +
+          position % grid.members]
+        .push_back(position);
+  }
+  std::vector<RowChunk> chunks;
+  for (const RowChunk& cell : cells) {
+    const std::size_t lanes =
+        laneWidth > 1 && cell.size() > 1 && oblivious(cell.front())
+            ? laneWidth
+            : 1;
+    for (std::size_t i = 0; i < cell.size(); i += lanes) {
+      const std::size_t end = std::min(cell.size(), i + lanes);
+      chunks.emplace_back(cell.begin() + static_cast<std::ptrdiff_t>(i),
+                          cell.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+  }
+  return chunks;
+}
+
+void runBroadcastLanes(std::vector<SweepRow>* rows,
+                       const std::vector<std::unique_ptr<Adversary>>& lanes,
+                       std::size_t roundCap, bool recordHistory) {
+  DYNBCAST_ASSERT(rows->size() == lanes.size());
+  const std::size_t n = rows->front().n;
+  const std::size_t cap = roundCap != 0 ? roundCap : defaultRoundCap(n);
+  std::vector<BroadcastRun> runs;
+  if (lanes.size() == 1) {
+    runs.push_back(runAdversary(n, *lanes.front(), cap, recordHistory));
+  } else {
+    DYNBCAST_ASSERT(!recordHistory);  // batches never record history
+    std::vector<Adversary*> raw;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      DYNBCAST_ASSERT((*rows)[i].n == n);
+      raw.push_back(lanes[i].get());
+    }
+    runs = runObliviousBatch(n, raw, cap);
+  }
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    (*rows)[i].rounds = runs[i].rounds;
+    (*rows)[i].completed = runs[i].completed;
+    (*rows)[i].history = std::move(runs[i].history);
+  }
+}
+
+std::vector<SweepInstance> aggregateInstances(const std::vector<SweepRow>& rows,
+                                              std::size_t members) {
+  DYNBCAST_ASSERT(members > 0 && rows.size() % members == 0);
+  std::vector<SweepInstance> instances;
+  instances.reserve(rows.size() / members);
+  for (std::size_t first = 0; first < rows.size(); first += members) {
+    SweepInstance aggregate;
+    aggregate.n = rows[first].n;
+    aggregate.seedIndex = rows[first].seedIndex;
+    aggregate.instanceSeed = rows[first].instanceSeed;
+    for (std::size_t m = first; m < first + members; ++m) {
+      const SweepRow& row = rows[m];
+      // History stays in rows only — copying the per-round metrics here
+      // would double the sweep's dominant allocation at large n.
+      aggregate.portfolio.entries.push_back(
+          {row.member, row.rounds, row.completed, {}});
+      if (row.completed && row.rounds > aggregate.portfolio.bestRounds) {
+        aggregate.portfolio.bestRounds = row.rounds;
+        aggregate.portfolio.bestName = row.member;
+      }
+    }
+    instances.push_back(std::move(aggregate));
+  }
+  return instances;
+}
+
 ExperimentEngine::ExperimentEngine(EngineConfig config)
     : config_(config), pool_(config.jobs) {}
+
+std::vector<SweepRow> ExperimentEngine::runChunks(
+    std::size_t rowCount, const std::vector<RowChunk>& chunks,
+    const std::function<std::vector<SweepRow>(const RowChunk&)>& runChunk) {
+  std::vector<SweepRow> rows(rowCount);
+  pool_.parallelFor(chunks.size(), [&](std::size_t c) {
+    std::vector<SweepRow> out = runChunk(chunks[c]);
+    DYNBCAST_ASSERT(out.size() == chunks[c].size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      rows[chunks[c][i]] = std::move(out[i]);
+    }
+  });
+  return rows;
+}
 
 SweepResult ExperimentEngine::runSweep(const SweepSpec& spec) {
   DYNBCAST_ASSERT(spec.seedsPerSize > 0);
@@ -86,168 +168,55 @@ SweepResult ExperimentEngine::runSweep(const SweepSpec& spec) {
               return standardPortfolio(n, seed);
             };
 
-  // Plan phase (serial, cheap): flatten sizes × replicates into instances
-  // and materialize each instance's member list, so every task has a
-  // fixed position before any runs. Instance seeds are position-derived —
-  // replicate r of sizes[s] always gets SeedSequence.at(s*R + r).
+  // Plan phase (serial, cheap): materialize each instance's member list,
+  // so every row has a fixed position before any runs. Instance seeds are
+  // position-derived — replicate r of sizes[s] always gets
+  // SeedSequence.at(s*R + r).
   const SeedSequence seeds(spec.masterSeed);
-  std::vector<InstancePlan> plan;
-  plan.reserve(spec.sizes.size() * spec.seedsPerSize);
-  std::size_t totalRows = 0;
-  for (std::size_t s = 0; s < spec.sizes.size(); ++s) {
-    for (std::size_t r = 0; r < spec.seedsPerSize; ++r) {
-      InstancePlan instance;
-      instance.n = spec.sizes[s];
-      instance.seedIndex = r;
-      instance.instanceSeed = seeds.at(s * spec.seedsPerSize + r);
-      instance.members = portfolio(instance.n, instance.instanceSeed);
-      instance.firstRow = totalRows;
-      totalRows += instance.members.size();
-      plan.push_back(std::move(instance));
+  RowGrid grid{spec.sizes.size(), spec.seedsPerSize, 0};
+  std::vector<std::vector<PortfolioMember>> members(grid.sizes *
+                                                    grid.replicates);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    members[i] = portfolio(spec.sizes[i / grid.replicates], seeds.at(i));
+    const std::vector<PortfolioMember>& first = members.front();
+    DYNBCAST_ASSERT(members[i].size() == first.size());
+    for (std::size_t m = 0; m < first.size(); ++m) {
+      DYNBCAST_ASSERT(members[i][m].name == first[m].name);
     }
   }
+  if (members.empty()) return {};
+  grid.members = members.front().size();
 
-  // Run phase: by default one task per (instance, member) — member runs
-  // of one large instance spread over all cores instead of serializing on
-  // one. Under the batch policy, replicates of an oblivious member within
-  // one size cell chunk into lockstep BatchBroadcastSim tasks instead
-  // (bit-identical rows, the tree decode amortized over the chunk). Each
-  // task writes only its own position-indexed slots, so the only shared
-  // state is read-only plan data.
+  std::vector<std::size_t> positions(members.size() * grid.members);
+  std::iota(positions.begin(), positions.end(), std::size_t{0});
   const bool recordHistory =
       spec.recordHistory.value_or(config_.recordHistory);
-  const std::size_t roundCap = spec.roundCap;
-  const std::size_t replicates = spec.seedsPerSize;
-  const std::size_t batchWidth = spec.batch.mode == BatchPolicy::Mode::kFixed
-                                     ? spec.batch.width
-                                     : BatchPolicy::kAutoWidth;
-  DYNBCAST_ASSERT(spec.batch.mode != BatchPolicy::Mode::kFixed ||
-                  spec.batch.width >= 1);
-  // History recording forces the scalar path (batches never record), and
-  // auto only engages once a cell has a full batch of replicates.
-  const bool batchable =
-      !recordHistory && spec.batch.mode != BatchPolicy::Mode::kOff &&
-      (spec.batch.mode == BatchPolicy::Mode::kFixed ||
-       replicates >= BatchPolicy::kAutoWidth);
-  std::vector<RunTask> tasks;
-  tasks.reserve(totalRows);
-  std::vector<char> batchedPos;  // per member position of the current cell
-  for (std::size_t s = 0; s < spec.sizes.size(); ++s) {
-    const std::size_t begin = s * replicates;
-    const std::size_t memberCount = plan[begin].members.size();
-    batchedPos.assign(memberCount, 0);
-    if (batchable) {
-      // A member position batches when every replicate of this size cell
-      // lists the same member there (the portfolio factory may vary with
-      // the seed) and a probe instance reports itself oblivious.
-      bool sameShape = true;
-      for (std::size_t r = 1; sameShape && r < replicates; ++r) {
-        sameShape = plan[begin + r].members.size() == memberCount;
-      }
-      if (sameShape) {
-        for (std::size_t m = 0; m < memberCount; ++m) {
-          bool sameName = true;
-          for (std::size_t r = 1; sameName && r < replicates; ++r) {
-            sameName =
-                plan[begin + r].members[m].name == plan[begin].members[m].name;
-          }
-          if (sameName && plan[begin].members[m].make()->oblivious()) {
-            batchedPos[m] = 1;
-          }
-        }
-      }
-    }
-    for (std::size_t m = 0; m < memberCount; ++m) {
-      if (batchedPos[m]) {
-        for (std::size_t r = 0; r < replicates; r += batchWidth) {
-          tasks.push_back(
-              {begin + r, std::min(batchWidth, replicates - r), m});
-        }
-      } else {
-        for (std::size_t r = 0; r < replicates; ++r) {
-          if (m < plan[begin + r].members.size()) {
-            tasks.push_back({begin + r, 1, m});
-          }
-        }
-      }
-    }
-    // Replicates with MORE members than the cell's first instance (only
-    // possible when the member-list shapes differ across replicates,
-    // which also disabled batching) still need their extra rows run.
-    for (std::size_t r = 0; r < replicates; ++r) {
-      for (std::size_t m = memberCount; m < plan[begin + r].members.size();
-           ++m) {
-        tasks.push_back({begin + r, 1, m});
-      }
-    }
-  }
-  SweepResult result;
-  result.rows.resize(totalRows);
-  pool_.parallelFor(tasks.size(), [&](std::size_t t) {
-    const RunTask& task = tasks[t];
-    if (task.laneCount == 1) {
-      const InstancePlan& instance = plan[task.planBegin];
-      const PortfolioMember& member = instance.members[task.memberPos];
-      const std::unique_ptr<Adversary> adversary = member.make();
-      const std::size_t cap =
-          roundCap != 0 ? roundCap : defaultRoundCap(instance.n);
-      BroadcastRun run =
-          runAdversary(instance.n, *adversary, cap, recordHistory);
-      SweepRow& row = result.rows[instance.firstRow + task.memberPos];
-      row.n = instance.n;
-      row.seedIndex = instance.seedIndex;
-      row.instanceSeed = instance.instanceSeed;
-      row.member = member.name;
-      row.rounds = run.rounds;
-      row.completed = run.completed;
-      row.history = std::move(run.history);
-      return;
-    }
-    const std::size_t n = plan[task.planBegin].n;
-    const std::size_t cap = roundCap != 0 ? roundCap : defaultRoundCap(n);
-    std::vector<std::unique_ptr<Adversary>> owners;
-    std::vector<Adversary*> lanes;
-    owners.reserve(task.laneCount);
-    lanes.reserve(task.laneCount);
-    for (std::size_t i = 0; i < task.laneCount; ++i) {
-      owners.push_back(
-          plan[task.planBegin + i].members[task.memberPos].make());
-      lanes.push_back(owners.back().get());
-    }
-    const std::vector<BroadcastRun> runs = runObliviousBatch(n, lanes, cap);
-    for (std::size_t i = 0; i < task.laneCount; ++i) {
-      const InstancePlan& instance = plan[task.planBegin + i];
-      SweepRow& row = result.rows[instance.firstRow + task.memberPos];
-      row.n = instance.n;
-      row.seedIndex = instance.seedIndex;
-      row.instanceSeed = instance.instanceSeed;
-      row.member = instance.members[task.memberPos].name;
-      row.rounds = runs[i].rounds;
-      row.completed = runs[i].completed;
-    }
-  });
+  const auto member = [&](std::size_t position) -> const PortfolioMember& {
+    return members[position / grid.members][position % grid.members];
+  };
+  const std::vector<RowChunk> chunks = groupLaneChunks(
+      grid, positions,
+      recordHistory ? BatchPolicy{BatchPolicy::Mode::kOff, 0} : spec.batch,
+      [&](std::size_t position) {
+        return member(position).make()->oblivious();
+      });
 
-  // Aggregate phase (serial): regroup rows into per-instance portfolio
-  // results, preserving the deterministic order.
-  result.instances.reserve(plan.size());
-  for (const InstancePlan& instance : plan) {
-    SweepInstance aggregate;
-    aggregate.n = instance.n;
-    aggregate.seedIndex = instance.seedIndex;
-    aggregate.instanceSeed = instance.instanceSeed;
-    for (std::size_t m = 0; m < instance.members.size(); ++m) {
-      const SweepRow& row = result.rows[instance.firstRow + m];
-      // History stays in rows only — copying the per-round metrics here
-      // would double the sweep's dominant allocation at large n.
-      aggregate.portfolio.entries.push_back(
-          {row.member, row.rounds, row.completed, {}});
-      if (row.completed && row.rounds > aggregate.portfolio.bestRounds) {
-        aggregate.portfolio.bestRounds = row.rounds;
-        aggregate.portfolio.bestName = row.member;
-      }
+  SweepResult result;
+  result.rows = runChunks(positions.size(), chunks, [&](const RowChunk& chunk) {
+    std::vector<SweepRow> rows(chunk.size());
+    std::vector<std::unique_ptr<Adversary>> lanes;
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      const std::size_t instance = chunk[i] / grid.members;
+      rows[i].n = spec.sizes[instance / grid.replicates];
+      rows[i].seedIndex = instance % grid.replicates;
+      rows[i].instanceSeed = seeds.at(instance);
+      rows[i].member = member(chunk[i]).name;
+      lanes.push_back(member(chunk[i]).make());
     }
-    result.instances.push_back(std::move(aggregate));
-  }
+    runBroadcastLanes(&rows, lanes, spec.roundCap, recordHistory);
+    return rows;
+  });
+  result.instances = aggregateInstances(result.rows, grid.members);
   return result;
 }
 

@@ -2,29 +2,37 @@
 // tests.
 //
 // Every number this repo reports comes from embarrassingly parallel
-// per-(n, seed, adversary) runs. The engine owns the one correct way to
-// shard them: a declarative SweepSpec (sizes × seed replicates × portfolio
-// members) is flattened into tasks, each task's seed is derived from its
-// POSITION via SeedSequence (never from execution order), the tasks fan
-// out over a work-stealing ThreadPool, and every result lands in a
-// preallocated slot indexed by position. Consequence: the collected rows
-// are bit-identical at any --jobs value, so parallelism is free to use
-// everywhere — including inside determinism tests.
+// per-(n, seed, adversary) runs, laid out as a row grid: sizes × seed
+// replicates × members, row position p = instance * members + member.
+// Each row's seed is derived from its POSITION via SeedSequence (never
+// from execution order), and every result lands in a preallocated slot
+// indexed by position. Consequence: the collected rows are bit-identical
+// at any --jobs value, so parallelism is free to use everywhere —
+// including inside determinism tests.
 //
-// Two entry points:
-//   * runSweep(spec)      — the portfolio workload (rows + per-instance
-//                           aggregates, Definition 2.3's max);
+// One executor runs every grid: groupLaneChunks() splits positions into
+// chunks (a single row, or lockstep lanes of one oblivious cell),
+// runChunks() fans the chunks out over a work-stealing ThreadPool, and
+// runBroadcastLanes() runs a chunk's adversaries. The scenario path
+// (scenario.h, task_plan.h) and runSweep() both go through these three.
+//
+// Entry points:
+//   * runSweep(spec)      — the portfolio workload over member factories
+//                           (rows + per-instance aggregates, Definition
+//                           2.3's max);
 //   * map(count, seed, f) — generic sharding for everything else (beam
-//                           witness searches, gossip scenarios, …).
+//                           witness searches, service tasks, …).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "src/adversary/adversary.h"
 #include "src/adversary/portfolio.h"
 #include "src/sim/metrics.h"
 #include "src/support/seed_sequence.h"
@@ -39,7 +47,8 @@ struct EngineConfig {
   bool recordHistory = false;
 };
 
-/// How runSweep schedules the replicates of a (size, member) cell.
+/// How the replicates of a (size, member) cell are chunked — the one
+/// batching decision, made by groupLaneChunks() for every caller.
 ///
 /// Replicates of an OBLIVIOUS member are independent runs of the same
 /// tree process, so the engine can advance a whole chunk of them in
@@ -49,8 +58,8 @@ struct EngineConfig {
 /// Batching never changes a single byte of output: the batched
 /// recurrence is bit-identical to the scalar runs (see runObliviousBatch)
 /// and every row still lands in its position-indexed slot. Cells that
-/// cannot batch — adaptive members, history recording, member lists that
-/// differ across replicates — always run the scalar path.
+/// cannot batch — adaptive members, history recording, gossip and graph
+/// models — always run one row per chunk.
 struct BatchPolicy {
   enum class Mode {
     kAuto,  ///< batch eligible cells with >= kAutoWidth replicates
@@ -73,9 +82,11 @@ struct BatchPolicy {
 [[nodiscard]] std::string batchPolicyName(const BatchPolicy& policy);
 
 /// Declarative description of a portfolio sweep. The factory is invoked
-/// once per (n, seed) instance on the calling thread; the returned
-/// members' make() closures are then called concurrently, so they must
-/// not share mutable state (standardPortfolio's are pure).
+/// once per (n, seed) instance on the calling thread and must return the
+/// same non-empty list of member names, in the same order, for every
+/// instance (the row grid has one width). The members' make() closures
+/// are then called concurrently, so they must not share mutable state
+/// (standardPortfolio's are pure).
 struct SweepSpec {
   std::vector<std::size_t> sizes;
   std::uint64_t masterSeed = 1;
@@ -130,6 +141,48 @@ struct SweepResult {
   std::vector<SweepInstance> instances;
 };
 
+/// One task of a row grid: a single position, or the ascending positions
+/// of one oblivious (size, member) cell run as lockstep lanes.
+using RowChunk = std::vector<std::size_t>;
+
+/// A row grid's shape: sizes × replicates instances of `members` rows.
+/// Position p is member p % members of instance p / members; instance i
+/// is replicate i % replicates of size index i / replicates.
+struct RowGrid {
+  std::size_t sizes = 0;
+  std::size_t replicates = 1;
+  std::size_t members = 0;
+};
+
+/// The batching plan transform, pure in its inputs: splits ascending
+/// `positions` (any subset of the grid) into chunks. Under `policy`, an
+/// oblivious cell batches in lanes of its width (kFixed), or of
+/// kAutoWidth once the grid has that many replicates (kAuto); callers
+/// pass kOff for grids that cannot batch (history, gossip, graph models).
+/// A cell with at least two of the positions and a lane width above 1 is
+/// probed once, oblivious(its first position), and split into chunks of
+/// up to that many lanes; every other position is a chunk of one. Chunks
+/// come in (size, member, replicate) order.
+[[nodiscard]] std::vector<RowChunk> groupLaneChunks(
+    const RowGrid& grid, const std::vector<std::size_t>& positions,
+    const BatchPolicy& policy,
+    const std::function<bool(std::size_t position)>& oblivious);
+
+/// The lane runner: fills rounds, completed and history of each
+/// (*rows)[i] — whose n is set, one n for all — with the broadcast run
+/// against lanes[i], capped at roundCap (0: defaultRoundCap(n)). One lane
+/// runs runAdversary (with history if asked); several run
+/// runObliviousBatch (all oblivious, never history). Row i is exactly
+/// runAdversary(n, *lanes[i], cap)'s either way.
+void runBroadcastLanes(std::vector<SweepRow>* rows,
+                       const std::vector<std::unique_ptr<Adversary>>& lanes,
+                       std::size_t roundCap, bool recordHistory);
+
+/// Regroups rows in position order, `members` per instance, into
+/// per-instance portfolio aggregates (entries in member order).
+[[nodiscard]] std::vector<SweepInstance> aggregateInstances(
+    const std::vector<SweepRow>& rows, std::size_t members);
+
 class ExperimentEngine {
  public:
   explicit ExperimentEngine(EngineConfig config = {});
@@ -140,6 +193,13 @@ class ExperimentEngine {
 
   /// Fans the sweep out across the pool; see SweepResult for ordering.
   [[nodiscard]] SweepResult runSweep(const SweepSpec& spec);
+
+  /// Runs every chunk across the pool. runChunk(chunk) returns one row
+  /// per chunk position, in chunk order; each lands in its position's
+  /// slot of the rowCount rows returned.
+  [[nodiscard]] std::vector<SweepRow> runChunks(
+      std::size_t rowCount, const std::vector<RowChunk>& chunks,
+      const std::function<std::vector<SweepRow>(const RowChunk&)>& runChunk);
 
   /// Generic sharded map: evaluates fn(index, seed) for every index in
   /// [0, count), where seed = SeedSequence(masterSeed).at(index), and

@@ -1,15 +1,13 @@
 #include "src/engine/scenario.h"
 
 #include <algorithm>
-#include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
-#include "src/adversary/adversary.h"
 #include "src/adversary/registry.h"
 #include "src/dynamics/registry.h"
 #include "src/engine/task_plan.h"
-#include "src/sim/gossip.h"
 
 namespace dynbcast {
 
@@ -17,34 +15,6 @@ static_assert(kAutoSparseThreshold == kSparseDenseMirrorMaxN,
               "auto must only pick sparse where sparse generation stops "
               "mirroring dense, so backend choice never changes rows at "
               "sizes both backends serve routinely");
-
-namespace {
-
-[[nodiscard]] std::vector<std::string> resolvedSpecs(
-    const ScenarioSpec& spec) {
-  return spec.adversaries.empty() ? defaultAdversarySpecs(spec.dynamics)
-                                  : spec.adversaries;
-}
-
-/// The gossip and graph-model paths share one execution shape: map the
-/// task plan's per-position executor over the row grid. Row order,
-/// seeding, and member naming are all pure functions of position (see
-/// task_plan.h), so the result is byte-identical at any job count — and
-/// byte-identical to a service worker executing the same positions in
-/// another process.
-[[nodiscard]] ScenarioResult runPlannedScenario(const ScenarioSpec& spec,
-                                                ExperimentEngine& engine) {
-  ScenarioResult result;
-  result.rows = engine.map<SweepRow>(
-      scenarioRowCount(spec), spec.masterSeed,
-      [&](std::size_t position, std::uint64_t) {
-        return runScenarioRow(spec, position);
-      });
-  result.instances = aggregateScenarioInstances(spec, result.rows);
-  return result;
-}
-
-}  // namespace
 
 Objective parseObjective(const std::string& text) {
   if (text == "broadcast") return Objective::kBroadcast;
@@ -112,10 +82,10 @@ void validateScenario(const ScenarioSpec& spec) {
         "' supports objective=broadcast)");
   }
 
-  // Batching advances replicate lanes of one oblivious adversary through
-  // a shared BatchBroadcastSim, which only the runSweep broadcast-tree
-  // path does. An explicit width elsewhere would be silently ignored, so
-  // reject it; auto degrades to scalar without complaint.
+  // Lanes share one BatchBroadcastSim, which only broadcast over
+  // adversary-driven trees runs (groupBatchable never batches gossip or
+  // graph models). An explicit width there would be silently ignored, so
+  // reject it; auto runs one row per chunk without complaint.
   if (spec.batch.mode == BatchPolicy::Mode::kFixed &&
       (entry.mode != DynamicsMode::kAdversaryTrees ||
        spec.objective == Objective::kGossip)) {
@@ -161,7 +131,9 @@ void validateScenario(const ScenarioSpec& spec) {
   }
 
   const AdversaryRegistry& registry = AdversaryRegistry::instance();
-  for (const std::string& text : resolvedSpecs(spec)) {
+  for (const std::string& text : spec.adversaries.empty()
+                                     ? defaultAdversarySpecs(spec.dynamics)
+                                     : spec.adversaries) {
     const AdversarySpec parsed = AdversarySpec::parse(text);
     registry.validate(parsed);
     if (!entry.admissibleAdversaries.empty() &&
@@ -184,28 +156,15 @@ void validateScenario(const ScenarioSpec& spec) {
 ScenarioResult runScenario(const ScenarioSpec& spec,
                            ExperimentEngine& engine) {
   validateScenario(spec);
-  const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
-  const DynamicsInfo& entry =
-      DynamicsRegistry::instance().info(dynamics.name);
-  if (entry.mode == DynamicsMode::kGraphModel ||
-      spec.objective == Objective::kGossip) {
-    return runPlannedScenario(spec, engine);
-  }
-  // Broadcast over (un)restricted trees: exactly the engine's portfolio
-  // sweep — a default rooted-tree scenario reproduces
-  // runSweep(standardPortfolio) bit-for-bit.
-  const std::vector<std::string> specs = resolvedSpecs(spec);
-  SweepSpec sweep;
-  sweep.sizes = spec.sizes;
-  sweep.masterSeed = spec.masterSeed;
-  sweep.seedsPerSize = spec.seedsPerSize;
-  sweep.roundCap = spec.roundCap;
-  sweep.recordHistory = spec.recordHistory;
-  sweep.batch = spec.batch;
-  sweep.portfolio = [specs](std::size_t n, std::uint64_t seed) {
-    return membersFromSpecs(specs, n, seed);
-  };
-  return engine.runSweep(sweep);
+  std::vector<std::size_t> positions(scenarioRowCount(spec));
+  std::iota(positions.begin(), positions.end(), std::size_t{0});
+  ScenarioResult result;
+  result.rows = engine.runChunks(
+      positions.size(), groupBatchable(spec, positions),
+      [&](const RowChunk& chunk) { return runRowChunk(spec, chunk); });
+  result.instances =
+      aggregateInstances(result.rows, scenarioMembersPerInstance(spec));
+  return result;
 }
 
 }  // namespace dynbcast

@@ -7,17 +7,17 @@
 // latter as AdversaryRegistry spec strings ("freeze-path:depth=3",
 // "beam:width=64"). Both axes are data, so composing a new experiment
 // never means writing a new main(). runScenario() executes the spec on an
-// ExperimentEngine:
+// ExperimentEngine through the task plan (task_plan.h), the same row
+// executor a service worker runs: every position of the (size, replicate,
+// member) grid is grouped into chunks — replicates of an oblivious
+// broadcast-tree member as lockstep lanes, everything else alone — and
+// each chunk runs on the pool. Graph-model dynamics (nonsplit-random,
+// edge-markovian, t-interval, …) construct the model per row with
+// position-derived seeds; adversary-driven dynamics (rooted-tree,
+// restricted) build the row's adversary from its spec string.
 //
-//   * adversary-driven dynamics (rooted-tree, restricted) route broadcast
-//     through ExperimentEngine::runSweep and gossip through map();
-//   * graph-model dynamics (nonsplit-random, edge-markovian, t-interval,
-//     …) construct the model per (n, seed) with position-derived seeds
-//     and drive runDynamicsBroadcast through map().
-//
-// Every path returns the same unified SweepRow rows in the same
-// deterministic (size, replicate, member) order — byte-identical at any
-// job count.
+// Rows come back in the deterministic (size, replicate, member) order,
+// byte-identical at any job count, batch width, or process split.
 #pragma once
 
 #include <cstdint>
@@ -77,9 +77,9 @@ struct ScenarioSpec {
   /// sparse-capable graph-model dynamics; kAuto is always valid.
   BackendChoice backend = BackendChoice::kAuto;
   /// Replicate batching for broadcast over adversary-driven tree
-  /// dynamics (see BatchPolicy); output-invariant. An explicit batch=K
-  /// on any other objective/dynamics combination is a spec error; kAuto
-  /// silently runs scalar there.
+  /// dynamics (see BatchPolicy and groupBatchable); output-invariant. An
+  /// explicit batch=K on any other objective/dynamics combination is a
+  /// spec error; kAuto runs one row per chunk there.
   BatchPolicy batch;
 };
 
@@ -104,12 +104,11 @@ void validateScenario(const ScenarioSpec& spec);
 using ScenarioRow = SweepRow;
 using ScenarioResult = SweepResult;
 
-/// Executes the scenario on the engine. Broadcast over (un)restricted
-/// trees delegates to ExperimentEngine::runSweep — a default rooted-tree
-/// broadcast scenario reproduces runSweep(standardPortfolio) rows
-/// bit-for-bit. Gossip and graph-model dynamics fan out through
-/// ExperimentEngine::map with the same instance planning, so determinism
-/// guarantees carry over.
+/// Executes the scenario on the engine: validateScenario, then
+/// groupBatchable over every position, runRowChunk per chunk across the
+/// pool with each row in its position's slot, then aggregateInstances.
+/// A default rooted-tree broadcast scenario
+/// reproduces runSweep(standardPortfolio) rows bit-for-bit.
 [[nodiscard]] ScenarioResult runScenario(const ScenarioSpec& spec,
                                          ExperimentEngine& engine);
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/adversary/adversary.h"
+#include "src/adversary/beam.h"
 #include "src/adversary/registry.h"
 #include "src/dynamics/registry.h"
 #include "src/sim/gossip.h"
@@ -85,85 +86,100 @@ bool scenarioRowRunsSparse(const ScenarioSpec& spec,
           !spec.recordHistory && n > kAutoSparseThreshold);
 }
 
-SweepRow runScenarioRow(const ScenarioSpec& spec, std::size_t position) {
+std::vector<RowChunk> groupBatchable(
+    const ScenarioSpec& spec, const std::vector<std::size_t>& positions) {
   const std::vector<std::string> members = resolvedScenarioMemberSpecs(spec);
-  const ScenarioRowPlan plan = planScenarioRow(spec, members, position);
   const DynamicsInfo& entry = DynamicsRegistry::instance().info(
       DynamicsSpec::parse(spec.dynamics).name);
+  const bool eligible = spec.objective == Objective::kBroadcast &&
+                        entry.mode == DynamicsMode::kAdversaryTrees &&
+                        !spec.recordHistory;
+  return groupLaneChunks(
+      {spec.sizes.size(), spec.seedsPerSize, members.size()}, positions,
+      eligible ? spec.batch : BatchPolicy{BatchPolicy::Mode::kOff, 0},
+      [&](std::size_t position) {
+        const ScenarioRowPlan plan = planScenarioRow(spec, members, position);
+        return AdversaryRegistry::instance()
+            .make(plan.memberSpec, plan.n, plan.instanceSeed)
+            ->oblivious();
+      });
+}
 
-  SweepRow row;
-  row.n = plan.n;
-  row.seedIndex = plan.seedIndex;
-  row.instanceSeed = plan.instanceSeed;
-  row.member = plan.memberSpec;
+std::vector<SweepRow> runRowChunk(const ScenarioSpec& spec,
+                                  const RowChunk& chunk) {
+  const std::vector<std::string> members = resolvedScenarioMemberSpecs(spec);
+  const DynamicsInfo& entry = DynamicsRegistry::instance().info(
+      DynamicsSpec::parse(spec.dynamics).name);
+  const bool adversaryTrees = entry.mode == DynamicsMode::kAdversaryTrees;
+  std::vector<SweepRow> rows(chunk.size());
+  std::vector<std::unique_ptr<Adversary>> lanes;
+  for (std::size_t i = 0; i < chunk.size(); ++i) {
+    const ScenarioRowPlan plan = planScenarioRow(spec, members, chunk[i]);
+    rows[i].n = plan.n;
+    rows[i].seedIndex = plan.seedIndex;
+    rows[i].instanceSeed = plan.instanceSeed;
+    rows[i].member = plan.memberSpec;
+    // Adversary-driven tree dynamics: build only the members the chunk
+    // addresses, from their canonical specs and instance seeds — what
+    // membersFromSpecs would hand them.
+    if (adversaryTrees) {
+      lanes.push_back(AdversaryRegistry::instance().make(
+          plan.memberSpec, plan.n, plan.instanceSeed));
+    }
+  }
+  if (adversaryTrees && spec.objective == Objective::kBroadcast) {
+    runBroadcastLanes(&rows, lanes, spec.roundCap, spec.recordHistory);
+    return rows;
+  }
 
+  DYNBCAST_ASSERT(chunk.size() == 1);  // gossip and graph models never batch
+  SweepRow& row = rows.front();
   BroadcastRun run;
-  if (entry.mode == DynamicsMode::kGraphModel) {
+  if (adversaryTrees) {
+    const std::size_t cap =
+        spec.roundCap != 0 ? spec.roundCap : defaultGossipRoundCap(row.n);
+    run = runAdversaryGossip(row.n, *lanes.front(), cap, spec.recordHistory);
+  } else {
+    const ScenarioRowPlan plan = planScenarioRow(spec, members, chunk[0]);
     const std::uint64_t seed = memberSeed(plan.instanceSeed, plan.memberIndex);
     const std::unique_ptr<DynamicsModel> instance =
-        DynamicsRegistry::instance().make(plan.memberSpec, plan.n, seed);
+        DynamicsRegistry::instance().make(row.member, row.n, seed);
     const std::size_t cap =
         spec.roundCap != 0 ? spec.roundCap : instance->defaultRoundCap();
-    run = scenarioRowRunsSparse(spec, entry, plan.n)
-              ? runFrontierDynamicsBroadcast(plan.n, *instance, cap,
+    run = scenarioRowRunsSparse(spec, entry, row.n)
+              ? runFrontierDynamicsBroadcast(row.n, *instance, cap,
                                              spec.recordHistory, seed)
-              : runDynamicsBroadcast(plan.n, *instance, cap,
+              : runDynamicsBroadcast(row.n, *instance, cap,
                                      spec.recordHistory);
-  } else {
-    // Adversary-driven tree dynamics: build only the member this position
-    // addresses, from its canonical spec and the instance seed — what
-    // membersFromSpecs would hand it.
-    const std::unique_ptr<Adversary> adversary =
-        AdversaryRegistry::instance().make(plan.memberSpec, plan.n,
-                                           plan.instanceSeed);
-    if (spec.objective == Objective::kGossip) {
-      const std::size_t cap =
-          spec.roundCap != 0 ? spec.roundCap : defaultGossipRoundCap(plan.n);
-      run = runAdversaryGossip(plan.n, *adversary, cap, spec.recordHistory);
-    } else {
-      const std::size_t cap =
-          spec.roundCap != 0 ? spec.roundCap : defaultRoundCap(plan.n);
-      run = runAdversary(plan.n, *adversary, cap, spec.recordHistory);
-    }
   }
   row.rounds = run.rounds;
   row.completed = run.completed;
   row.history = std::move(run.history);
-  return row;
+  return rows;
 }
 
-std::vector<SweepInstance> aggregateScenarioInstances(
-    const ScenarioSpec& spec, const std::vector<SweepRow>& rows) {
-  const std::size_t width = scenarioMembersPerInstance(spec);
-  const std::size_t instanceCount = spec.sizes.size() * spec.seedsPerSize;
-  DYNBCAST_ASSERT(rows.size() == instanceCount * width);
-  const SeedSequence seeds(spec.masterSeed);
-  std::vector<SweepInstance> instances;
-  instances.reserve(instanceCount);
-  for (std::size_t p = 0; p < instanceCount; ++p) {
-    SweepInstance aggregate;
-    aggregate.n = spec.sizes[p / spec.seedsPerSize];
-    aggregate.seedIndex = p % spec.seedsPerSize;
-    aggregate.instanceSeed = seeds.at(p);
-    for (std::size_t m = 0; m < width; ++m) {
-      const SweepRow& row = rows[p * width + m];
-      // History stays in rows only — copying the per-round metrics here
-      // would double the sweep's dominant allocation at large n.
-      aggregate.portfolio.entries.push_back(
-          {row.member, row.rounds, row.completed, {}});
-      if (row.completed && row.rounds > aggregate.portfolio.bestRounds) {
-        aggregate.portfolio.bestRounds = row.rounds;
-        aggregate.portfolio.bestName = row.member;
-      }
-    }
-    instances.push_back(std::move(aggregate));
-  }
-  return instances;
+SweepRow runScenarioRow(const ScenarioSpec& spec, std::size_t position) {
+  return std::move(runRowChunk(spec, {position}).front());
 }
 
 std::uint64_t scenarioBeamSeed(std::uint64_t masterSeed,
                                std::size_t sizeIndex) {
   return SeedSequence(masterSeed ^ kBeamSeedSalt).at(sizeIndex);
+}
+
+std::size_t scenarioBeamWitness(const ScenarioSpec& spec,
+                                std::size_t sizeIndex, std::size_t beamWidth,
+                                std::size_t beamMaxN) {
+  const std::size_t n = spec.sizes[sizeIndex];
+  if (n > beamMaxN) return 0;
+  BeamConfig config;
+  config.beamWidth = beamWidth;
+  config.randomMovesPerState = kBeamRandomMoves;
+  config.diversityPercent = kBeamDiversityPercent;
+  const BeamResult witness = beamSearchWitness(
+      n, scenarioBeamSeed(spec.masterSeed, sizeIndex), config);
+  return verifyWitness(n, witness.witness) == witness.rounds ? witness.rounds
+                                                             : 0;
 }
 
 }  // namespace dynbcast

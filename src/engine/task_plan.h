@@ -1,13 +1,12 @@
 // The scenario task plan: every scenario, flattened into addressable,
-// independently executable row positions.
+// independently executable row positions — and the one executor that
+// runs them.
 //
-// runScenario() executes a ScenarioSpec as one engine fan-out, but a
-// distributed service needs the same work in a different shape: a
-// SERIALIZABLE plan whose unit is "row position p of scenario S", so a
-// manifest can record per-position completion, a cache can key results by
-// (spec, seed, position), and a worker process can execute any subset of
-// positions and land byte-identical rows in the same slots. This header
-// is that shape:
+// A row is a pure function of (spec, position): row position p of
+// scenario S has a fixed identity, seed and member, so a manifest can
+// record per-position completion, a cache can key results by
+// (spec, seed, position), and any process can execute any subset of
+// positions and land byte-identical rows in the same slots:
 //
 //   * scenarioRowCount(spec)        — the grid size (sizes × replicates ×
 //                                     members), fixed by the spec alone;
@@ -15,19 +14,21 @@
 //                                     seedIndex, memberIndex), its n, its
 //                                     position-derived instance seed, and
 //                                     the canonical member spec string;
-//   * runScenarioRow(spec, p)       — executes exactly the row that
-//                                     runScenario() would put at p, on
-//                                     the calling thread (the scalar
-//                                     path; batching is output-invariant,
-//                                     so this is byte-identical);
-//   * aggregateScenarioInstances    — regroups rows into the per-instance
-//                                     portfolio view, same order.
+//   * groupBatchable(spec, ps)      — the batching decision as a pure plan
+//                                     transform: positions → chunks, the
+//                                     replicates of an oblivious broadcast
+//                                     cell as lockstep lanes, everything
+//                                     else alone;
+//   * runRowChunk(spec, chunk)      — executes one chunk on the calling
+//                                     thread (runScenarioRow is the
+//                                     one-lane call).
 //
-// runScenario()'s gossip and graph-model paths are implemented ON these
-// functions (scenario.cpp maps runScenarioRow over [0, rowCount)), so the
-// engine and the service cannot drift apart. The broadcast-over-trees
-// path keeps ExperimentEngine::runSweep for replicate batching; its rows
-// are pinned to runScenarioRow by the task-plan equivalence test.
+// runScenario() is groupBatchable over every position, runRowChunk per
+// chunk across the engine's pool, then the engine's aggregateInstances; a
+// service worker runs groupBatchable over its pending positions and
+// runRowChunk over each chunk's cache misses. There is no second row
+// path to keep in step: batching only changes how rows are grouped,
+// never their bytes.
 #pragma once
 
 #include <cstdint>
@@ -85,29 +86,51 @@ struct ScenarioRowPlan {
 /// backend=auto when the dynamics is a sparse-capable graph model, no
 /// per-round history is wanted and n > kAutoSparseThreshold; never under
 /// adversary-driven dynamics. `dynamics` is the registry entry of
-/// spec.dynamics. runScenarioRow executes this choice and the service's
+/// spec.dynamics. runRowChunk executes this choice and the service's
 /// task keys spell it, so both ask here.
 [[nodiscard]] bool scenarioRowRunsSparse(const ScenarioSpec& spec,
                                          const DynamicsInfo& dynamics,
                                          std::size_t n);
 
-/// Executes position `position` on the calling thread and returns the
-/// row runScenario() would produce there, byte-identical. The spec must
-/// already satisfy validateScenario().
+/// Splits ascending `positions` (any subset of the grid) into the chunks
+/// runRowChunk executes: groupLaneChunks over the scenario's grid. Lanes
+/// batch only for objective=broadcast over adversary-driven trees without
+/// history, when spec.batch allows it (see groupLaneChunks), and when the
+/// cell's member is oblivious — probed by building it once per cell.
+[[nodiscard]] std::vector<RowChunk> groupBatchable(
+    const ScenarioSpec& spec, const std::vector<std::size_t>& positions);
+
+/// Executes a chunk on the calling thread: one row per chunk position, in
+/// chunk order, each byte-identical to runScenario()'s row there. A
+/// chunk is a position of its own or lanes of one cell that
+/// groupBatchable would batch (any subset of such a chunk is one too).
+/// The spec must already satisfy validateScenario().
+[[nodiscard]] std::vector<SweepRow> runRowChunk(const ScenarioSpec& spec,
+                                                const RowChunk& chunk);
+
+/// runRowChunk of the one-lane chunk {position}.
 [[nodiscard]] SweepRow runScenarioRow(const ScenarioSpec& spec,
                                       std::size_t position);
 
-/// Regroups a full row vector (ordered by position) into per-instance
-/// aggregates — runScenario()'s instances field, reproduced from rows.
-[[nodiscard]] std::vector<SweepInstance> aggregateScenarioInstances(
-    const ScenarioSpec& spec, const std::vector<SweepRow>& rows);
-
 /// The beam-witness task seed for sizeIndex within a thm31-style sweep:
-/// SeedSequence(masterSeed ^ kBeamSeedSalt).at(sizeIndex) — the exact
-/// derivation `dynbcast sweep` uses, exposed so a service-side beam task
-/// reproduces the CLI's witness rounds bit for bit.
+/// SeedSequence(masterSeed ^ kBeamSeedSalt).at(sizeIndex).
 inline constexpr std::uint64_t kBeamSeedSalt = 0xbea3ull;
 [[nodiscard]] std::uint64_t scenarioBeamSeed(std::uint64_t masterSeed,
                                              std::size_t sizeIndex);
+
+/// The beam search's fixed knobs in a thm31 sweep; the width is the one
+/// a request can vary. They change witness rounds, so service cache keys
+/// spell them.
+inline constexpr std::size_t kBeamRandomMoves = 8;
+inline constexpr std::size_t kBeamDiversityPercent = 40;
+
+/// The beam-witness task of a thm31 sweep, as `dynbcast sweep` and the
+/// service both run it: the verified witness rounds at
+/// spec.sizes[sizeIndex], seeded by scenarioBeamSeed; 0 when that size
+/// exceeds beamMaxN (not searched) or replay disagrees with the search.
+[[nodiscard]] std::size_t scenarioBeamWitness(const ScenarioSpec& spec,
+                                              std::size_t sizeIndex,
+                                              std::size_t beamWidth,
+                                              std::size_t beamMaxN);
 
 }  // namespace dynbcast

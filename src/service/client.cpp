@@ -147,7 +147,8 @@ SubmitOutcome submitRequest(const std::string& socketPath,
                                               plan.rowCount));
   outcome.rows = assembleServiceRows(request.scenario, rowResults);
   outcome.instances =
-      aggregateScenarioInstances(request.scenario, outcome.rows);
+      aggregateInstances(outcome.rows,
+                         scenarioMembersPerInstance(request.scenario));
   outcome.beamRounds.reserve(plan.beamCount);
   for (std::size_t i = 0; i < plan.beamCount; ++i) {
     outcome.beamRounds.push_back(results[plan.rowCount + i].rounds);

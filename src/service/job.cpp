@@ -1,25 +1,9 @@
 #include "src/service/job.h"
 
-#include "src/adversary/beam.h"
 #include "src/dynamics/registry.h"
 #include "src/support/assert.h"
 
 namespace dynbcast {
-
-namespace {
-
-[[nodiscard]] BeamConfig requestBeamConfig(const ServiceRequest& request) {
-  // The sweep subcommand's fixed search knobs; width is the one the
-  // request can vary. Changing the fixed values changes witness rounds,
-  // so they are spelled into the cache key below.
-  BeamConfig cfg;
-  cfg.beamWidth = request.beamWidth;
-  cfg.randomMovesPerState = 8;
-  cfg.diversityPercent = 40;
-  return cfg;
-}
-
-}  // namespace
 
 ServiceJobPlan planServiceJob(const ServiceRequest& request) {
   ServiceJobPlan plan;
@@ -65,7 +49,9 @@ std::string ServiceTaskKeys::key(std::size_t position) const {
     return "beam/1 n=" + std::to_string(n) + " seed=" +
            std::to_string(scenarioBeamSeed(spec.masterSeed, sizeIndex)) +
            " width=" + std::to_string(request_.beamWidth) +
-           " moves=8 div=40 searched=" + (searched ? "1" : "0");
+           " moves=" + std::to_string(kBeamRandomMoves) +
+           " div=" + std::to_string(kBeamDiversityPercent) +
+           " searched=" + (searched ? "1" : "0");
   }
 
   const ScenarioRowPlan row = planScenarioRow(spec, members_, position);
@@ -76,28 +62,28 @@ std::string ServiceTaskKeys::key(std::size_t position) const {
          " mpos=" + std::to_string(row.memberIndex);
 }
 
+std::vector<ServiceTaskResult> executeServiceChunk(
+    const ServiceRequest& request, std::size_t rowCount,
+    const RowChunk& chunk) {
+  if (chunk.front() >= rowCount) {
+    // A beam task: the witness pass `dynbcast sweep` runs for its size.
+    DYNBCAST_ASSERT(chunk.size() == 1);
+    return {{scenarioBeamWitness(request.scenario, chunk.front() - rowCount,
+                                 request.beamWidth, request.beamMaxN),
+             true}};
+  }
+  std::vector<ServiceTaskResult> results;
+  for (const SweepRow& row : runRowChunk(request.scenario, chunk)) {
+    results.push_back({row.rounds, row.completed});
+  }
+  return results;
+}
+
 ServiceTaskResult executeServiceTask(const ServiceRequest& request,
                                      std::size_t position) {
   const ServiceJobPlan plan = planServiceJob(request);
   DYNBCAST_ASSERT(position < plan.taskCount());
-
-  if (position >= plan.rowCount) {
-    const std::size_t sizeIndex = position - plan.rowCount;
-    const std::size_t n = request.scenario.sizes[sizeIndex];
-    ServiceTaskResult result;
-    result.completed = true;
-    if (n > request.beamMaxN) return result;  // witness pass skips it
-    const BeamResult witness = beamSearchWitness(
-        n, scenarioBeamSeed(request.scenario.masterSeed, sizeIndex),
-        requestBeamConfig(request));
-    result.rounds = verifyWitness(n, witness.witness) == witness.rounds
-                        ? witness.rounds
-                        : 0;
-    return result;
-  }
-
-  const SweepRow row = runScenarioRow(request.scenario, position);
-  return {row.rounds, row.completed};
+  return executeServiceChunk(request, plan.rowCount, {position}).front();
 }
 
 std::vector<SweepRow> assembleServiceRows(

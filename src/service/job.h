@@ -9,7 +9,7 @@
 //                                        size (thm31 requests only)
 //
 // Every task is a pure function of (request, position): what it computes
-// (executeServiceTask), its result-cache identity (serviceTaskKey), and
+// (executeServiceChunk), its result-cache identity (serviceTaskKey), and
 // where its output lands (assembleServiceRows) are all derivable by any
 // process independently. That is the whole distribution story — a
 // manifest records positions, workers execute arbitrary subsets, and the
@@ -86,8 +86,16 @@ class ServiceTaskKeys {
   std::string rowPrefix_;
 };
 
-/// Executes task `position` on the calling thread. The scenario must
-/// already satisfy validateScenario().
+/// Executes one chunk of tasks on the calling thread, results in chunk
+/// order: rows through runRowChunk (a chunk from groupBatchable, or any
+/// subset of one), or a single beam task (position >= rowCount) through
+/// scenarioBeamWitness. The scenario must already satisfy
+/// validateScenario().
+[[nodiscard]] std::vector<ServiceTaskResult> executeServiceChunk(
+    const ServiceRequest& request, std::size_t rowCount,
+    const RowChunk& chunk);
+
+/// executeServiceChunk of the one-task chunk {position}.
 [[nodiscard]] ServiceTaskResult executeServiceTask(
     const ServiceRequest& request, std::size_t position);
 

@@ -129,29 +129,27 @@ void handleRequest(const ServerOptions& options, LineChannel& channel,
                                std::to_string(taskCount);
 
   std::size_t resumed = 0;
-  if (std::optional<ManifestState> existing = loadManifest(manifestPath)) {
-    if (existing->canonicalRequest != canonical) {
-      channel.writeLine("ERROR job id collision at " + manifestPath +
-                        "; remove the stale manifest");
-      return;
-    }
-    if (!existing->complete()) {
-      resumed = existing->doneCount;
-    } else if (existing->taskCount == taskCount) {
-      // A finished prior submission: its manifest holds every result,
-      // so the whole response is one write — nothing is looked up,
-      // recorded or fsynced.
-      std::vector<std::string> lines = {accepted,
-                                        progressLine(taskCount, taskCount)};
-      appendResultLines(*existing, 0, taskCount, &lines);
-      channel.writeLines(lines);
-      return;
-    } else {
-      // Finished under a different plan: start the job afresh.
-      initManifest(manifestPath, canonical, taskCount);
-    }
-  } else {
+  const std::optional<ManifestState> existing = loadManifest(manifestPath);
+  if (existing.has_value() && existing->canonicalRequest != canonical) {
+    channel.writeLine("ERROR job id collision at " + manifestPath +
+                      "; remove the stale manifest");
+    return;
+  }
+  if (!existing.has_value() || existing->taskCount != taskCount) {
+    // A new job, or one planned for another task count (finished or
+    // not, its positions cannot all drain under this plan): start afresh.
     initManifest(manifestPath, canonical, taskCount);
+  } else if (existing->complete()) {
+    // A finished prior submission: its manifest holds every result, so
+    // the whole response is one write — nothing is looked up, recorded
+    // or fsynced.
+    std::vector<std::string> lines = {accepted,
+                                      progressLine(taskCount, taskCount)};
+    appendResultLines(*existing, 0, taskCount, &lines);
+    channel.writeLines(lines);
+    return;
+  } else {
+    resumed = existing->doneCount;
   }
 
   channel.writeLine(accepted);

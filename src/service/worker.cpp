@@ -1,8 +1,10 @@
 #include "src/service/worker.h"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/experiment_engine.h"
@@ -88,7 +90,16 @@ WorkerReport runManifestWorker(const WorkerOptions& options) {
   }
   if (pending.empty()) return report;
 
-  ResultCache cache(options.cacheDir);
+  // Rows chunk the way runScenario does, so oblivious replicates run as
+  // lockstep lanes here too; beam tasks (positions >= rowCount) run alone.
+  const std::size_t rowCount = keys.plan().rowCount;
+  const auto firstBeam =
+      std::lower_bound(pending.begin(), pending.end(), rowCount);
+  std::vector<RowChunk> chunks =
+      groupBatchable(request.scenario, {pending.begin(), firstBeam});
+  for (auto it = firstBeam; it != pending.end(); ++it) chunks.push_back({*it});
+
+  const ResultCache cache(options.cacheDir);
   RecordGroup group(options.manifestPath);
   std::atomic<std::size_t> cacheHits{0};
   std::atomic<std::size_t> executed{0};
@@ -108,20 +119,28 @@ WorkerReport runManifestWorker(const WorkerOptions& options) {
     // seeds from (request, position), which is what makes re-execution
     // by any process byte-identical.
     (void)engine.map<char>(
-        pending.size(), 0, [&](std::size_t index, std::uint64_t) -> char {
-          const std::size_t position = pending[index];
-          const std::string key = keys.key(position);
-          ServiceTaskResult result;
-          if (const auto hit = cache.get(key); hit.has_value()) {
-            result.rounds = hit->rounds;
-            result.completed = hit->completed;
-            cacheHits.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            result = executeServiceTask(request, position);
-            cache.put(key, {result.rounds, result.completed});
-            executed.fetch_add(1, std::memory_order_relaxed);
+        chunks.size(), 0, [&](std::size_t index, std::uint64_t) -> char {
+          RowChunk misses;
+          std::vector<std::string> missKeys;
+          for (const std::size_t position : chunks[index]) {
+            std::string key = keys.key(position);
+            if (const auto hit = cache.get(key); hit.has_value()) {
+              group.add({position, hit->rounds, hit->completed});
+              cacheHits.fetch_add(1, std::memory_order_relaxed);
+              continue;
+            }
+            misses.push_back(position);
+            missKeys.push_back(std::move(key));
           }
-          group.add({position, result.rounds, result.completed});
+          if (misses.empty()) return 0;
+          const std::vector<ServiceTaskResult> results =
+              executeServiceChunk(request, rowCount, misses);
+          for (std::size_t i = 0; i < misses.size(); ++i) {
+            const ServiceTaskResult& result = results[i];
+            cache.put(missKeys[i], {result.rounds, result.completed});
+            group.add({misses[i], result.rounds, result.completed});
+          }
+          executed.fetch_add(misses.size(), std::memory_order_relaxed);
           return 0;
         });
   } catch (...) {

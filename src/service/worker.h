@@ -17,6 +17,11 @@
 // (without a cache — manifest-only mode — it re-executes instead).
 // Rerunning any worker over the same range is always safe and lands
 // byte-identical records.
+//
+// Pending row positions are chunked with groupBatchable, the same plan
+// transform runScenario uses, so oblivious replicates run as lockstep
+// lanes here too: each chunk's lanes are looked up in the cache and only
+// the misses execute, as one chunk (executeServiceChunk → runRowChunk).
 #pragma once
 
 #include <cstdint>

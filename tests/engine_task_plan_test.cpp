@@ -1,11 +1,16 @@
 // Task-plan equivalence: the serializable (spec, position) plan must
-// reproduce runScenario() exactly — field for field — on every path.
-// This is the contract the whole service layer stands on: a worker
-// executing position p in another process lands the same bytes the
-// engine would.
+// reproduce runScenario() exactly — field for field — on every path,
+// and groupBatchable must be a pure regrouping of positions. This is the
+// contract the whole service layer stands on: a worker executing any
+// chunk of positions in another process lands the same bytes the engine
+// would.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "src/adversary/registry.h"
 #include "src/engine/scenario.h"
 #include "src/engine/task_plan.h"
 #include "src/support/seed_sequence.h"
@@ -66,13 +71,13 @@ TEST(TaskPlanTest, PlanFieldsAreAPureFunctionOfPosition) {
   }
 }
 
-// Broadcast over rooted trees runs through ExperimentEngine::runSweep
-// (with replicate batching) — the one path NOT implemented on the plan,
-// so this equivalence is the anti-drift pin.
-TEST(TaskPlanTest, BroadcastTreePathMatchesRunSweep) {
+// runScenario batches the replicates of oblivious members (nine seeds
+// engage auto batching: a chunk of 8 lanes plus one alone per cell); the
+// one-lane runScenarioRow must land the same bytes at every position.
+TEST(TaskPlanTest, BatchedBroadcastChunksMatchOneLaneRows) {
   ScenarioSpec spec;
   spec.sizes = {4, 6, 8};
-  spec.seedsPerSize = 2;
+  spec.seedsPerSize = 9;
   spec.masterSeed = 7;
 
   ExperimentEngine engine = makeEngine(4);
@@ -103,29 +108,147 @@ TEST(TaskPlanTest, GraphModelPathMatchesRunScenario) {
   const ScenarioResult direct = runScenario(spec, engine);
   expectRowsEqual(direct.rows, rowsFromPlan(spec));
 
-  // And the plan's aggregation reproduces the per-instance view.
-  const std::vector<SweepInstance> instances =
-      aggregateScenarioInstances(spec, direct.rows);
-  ASSERT_EQ(instances.size(), direct.instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    EXPECT_EQ(instances[i].n, direct.instances[i].n);
-    EXPECT_EQ(instances[i].seedIndex, direct.instances[i].seedIndex);
-    EXPECT_EQ(instances[i].instanceSeed, direct.instances[i].instanceSeed);
-    EXPECT_EQ(instances[i].portfolio.bestRounds,
-              direct.instances[i].portfolio.bestRounds);
-    EXPECT_EQ(instances[i].portfolio.bestName,
-              direct.instances[i].portfolio.bestName);
+  // And each instance aggregate carries its plan identity; graph models
+  // have one member, so that member's row is the instance's best when it
+  // completed.
+  ASSERT_EQ(direct.instances.size(), direct.rows.size());
+  for (std::size_t i = 0; i < direct.instances.size(); ++i) {
+    const ScenarioRowPlan plan = planScenarioRow(spec, i);
+    const SweepInstance& instance = direct.instances[i];
+    EXPECT_EQ(instance.n, plan.n);
+    EXPECT_EQ(instance.seedIndex, plan.seedIndex);
+    EXPECT_EQ(instance.instanceSeed, plan.instanceSeed);
+    EXPECT_EQ(instance.portfolio.bestRounds,
+              direct.rows[i].completed ? direct.rows[i].rounds : 0);
+    EXPECT_EQ(instance.portfolio.bestName,
+              direct.rows[i].completed ? plan.memberSpec : "");
   }
 }
 
-TEST(TaskPlanTest, BeamSeedMatchesSweepDerivation) {
-  // The CLI sweep derives beam task seeds as
-  // engine.map(count, masterSeed ^ 0xbea3, ...) — i.e.
-  // SeedSequence(masterSeed ^ salt).at(sizeIndex).
-  const std::uint64_t masterSeed = 1;
-  const SeedSequence seeds(masterSeed ^ kBeamSeedSalt);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(scenarioBeamSeed(masterSeed, i), seeds.at(i));
+// --- groupBatchable: the batching decision as a plan transform ---------
+
+[[nodiscard]] ScenarioSpec mixedMemberSpec() {
+  ScenarioSpec spec;
+  spec.sizes = {8, 12};
+  spec.seedsPerSize = 9;
+  spec.masterSeed = 5;
+  // Three oblivious members and an adaptive one.
+  spec.adversaries = {"static-path", "k-leaf:k=2", "freeze-path:depth=1",
+                      "random-tree"};
+  return spec;
+}
+
+[[nodiscard]] std::vector<std::size_t> allPositions(const ScenarioSpec& spec) {
+  std::vector<std::size_t> positions(scenarioRowCount(spec));
+  std::iota(positions.begin(), positions.end(), std::size_t{0});
+  return positions;
+}
+
+[[nodiscard]] bool memberIsOblivious(const ScenarioSpec& spec,
+                                     std::size_t position) {
+  const ScenarioRowPlan plan = planScenarioRow(spec, position);
+  return AdversaryRegistry::instance()
+      .make(plan.memberSpec, plan.n, plan.instanceSeed)
+      ->oblivious();
+}
+
+/// Checks the chunks partition `positions` and that every multi-lane
+/// chunk is lanes of one oblivious (size, member) cell, ascending, with
+/// at most `width` lanes. Returns the number of multi-lane chunks.
+std::size_t expectValidChunks(const ScenarioSpec& spec,
+                              const std::vector<std::size_t>& positions,
+                              const std::vector<RowChunk>& chunks,
+                              std::size_t width) {
+  std::vector<std::size_t> covered;
+  std::size_t multiLane = 0;
+  for (const RowChunk& chunk : chunks) {
+    EXPECT_FALSE(chunk.empty());
+    covered.insert(covered.end(), chunk.begin(), chunk.end());
+    if (chunk.size() == 1) continue;
+    ++multiLane;
+    EXPECT_LE(chunk.size(), width);
+    EXPECT_TRUE(memberIsOblivious(spec, chunk.front()));
+    const ScenarioRowPlan first = planScenarioRow(spec, chunk.front());
+    for (std::size_t i = 1; i < chunk.size(); ++i) {
+      const ScenarioRowPlan lane = planScenarioRow(spec, chunk[i]);
+      EXPECT_LT(chunk[i - 1], chunk[i]);
+      EXPECT_EQ(lane.sizeIndex, first.sizeIndex);
+      EXPECT_EQ(lane.memberIndex, first.memberIndex);
+    }
+  }
+  std::sort(covered.begin(), covered.end());
+  EXPECT_EQ(covered, positions) << "chunks must cover each position once";
+  return multiLane;
+}
+
+TEST(GroupBatchableTest, ChunksPartitionTheGridIntoObliviousCells) {
+  ScenarioSpec spec = mixedMemberSpec();
+  const std::vector<std::size_t> positions = allPositions(spec);
+  // Auto: 2 sizes × 3 oblivious members, each cell 8 lanes + 1 alone.
+  EXPECT_EQ(expectValidChunks(spec, positions, groupBatchable(spec, positions),
+                              BatchPolicy::kAutoWidth),
+            6u);
+  spec.batch = {BatchPolicy::Mode::kFixed, 4};  // 4 + 4 + 1 per cell
+  EXPECT_EQ(expectValidChunks(spec, positions, groupBatchable(spec, positions),
+                              4),
+            12u);
+}
+
+TEST(GroupBatchableTest, OnlyObliviousBroadcastTreeCellsBatch) {
+  const auto expectAllSingle = [](const ScenarioSpec& spec,
+                                  const char* label) {
+    const std::vector<std::size_t> positions = allPositions(spec);
+    EXPECT_EQ(expectValidChunks(spec, positions,
+                                groupBatchable(spec, positions), 1),
+              0u)
+        << label;
+  };
+  ScenarioSpec adaptive = mixedMemberSpec();
+  adaptive.adversaries = {"freeze-path:depth=1", "greedy-delay"};
+  expectAllSingle(adaptive, "adaptive members");
+
+  ScenarioSpec gossip = mixedMemberSpec();
+  gossip.objective = Objective::kGossip;
+  expectAllSingle(gossip, "gossip");
+
+  ScenarioSpec model;
+  model.dynamics = "edge-markovian:p=0.3,q=0.3";
+  model.sizes = {8, 12};
+  model.seedsPerSize = 9;
+  expectAllSingle(model, "graph model");
+
+  ScenarioSpec history = mixedMemberSpec();
+  history.recordHistory = true;
+  expectAllSingle(history, "recordHistory");
+
+  ScenarioSpec off = mixedMemberSpec();
+  off.batch = {BatchPolicy::Mode::kOff, 0};
+  expectAllSingle(off, "batch=off");
+
+  ScenarioSpec few = mixedMemberSpec();
+  few.seedsPerSize = BatchPolicy::kAutoWidth - 1;
+  expectAllSingle(few, "auto below kAutoWidth replicates");
+}
+
+TEST(GroupBatchableTest, ASubsetChunksOnlyItsOwnPositions) {
+  const ScenarioSpec spec = mixedMemberSpec();
+  std::vector<std::size_t> subset;
+  for (std::size_t p = 0; p < scenarioRowCount(spec); p += 3) {
+    subset.push_back(p);
+  }
+  const std::vector<RowChunk> chunks = groupBatchable(spec, subset);
+  EXPECT_GT(expectValidChunks(spec, subset, chunks, BatchPolicy::kAutoWidth),
+            0u);
+
+  // And a subset chunk runs to the same bytes as the one-lane rows.
+  for (const RowChunk& chunk : chunks) {
+    if (chunk.size() == 1) continue;
+    const std::vector<SweepRow> rows = runRowChunk(spec, chunk);
+    ASSERT_EQ(rows.size(), chunk.size());
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      EXPECT_EQ(rows[i], runScenarioRow(spec, chunk[i]))
+          << "position " << chunk[i];
+    }
   }
 }
 

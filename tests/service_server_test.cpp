@@ -176,6 +176,42 @@ TEST_F(ServiceServerTest, AFinishedManifestForAnotherPlanIsNotServed) {
   }
 }
 
+TEST_F(ServiceServerTest, AnUnfinishedManifestForAnotherPlanIsReplanned) {
+  ServiceRequest request;
+  request.scenario.dynamics = "edge-markovian:p=0.3,q=0.3";
+  request.scenario.sizes = {6, 8, 10};
+  request.scenario.seedsPerSize = 2;
+  request.scenario.masterSeed = 7;
+  const std::size_t tasks = planServiceJob(request).taskCount();
+
+  // An unfinished manifest that declares one task more than the plan:
+  // its last position can never be filled, so it must not be resumed.
+  makeDirectories(dir_ + "/state");
+  const std::string manifestPath =
+      dir_ + "/state/job-" + requestJobId(request) + ".manifest";
+  initManifest(manifestPath, canonicalRequestString(request), tasks + 1);
+  appendTaskRecords(manifestPath, {{0, 99, true}});
+  ASSERT_FALSE(loadManifest(manifestPath)->complete());
+
+  std::thread server = startServer(1);
+  const SubmitOutcome outcome =
+      submitRequest(dir_ + "/sock", request, nullptr);
+  server.join();
+  EXPECT_EQ(outcome.tasks, tasks);
+  EXPECT_EQ(outcome.resumed, 0u);
+  EXPECT_EQ(outcome.executed, tasks);
+  EXPECT_EQ(loadManifest(manifestPath)->taskCount, tasks);
+
+  EngineConfig config;
+  config.jobs = 2;
+  ExperimentEngine engine(config);
+  const ScenarioResult direct = runScenario(request.scenario, engine);
+  ASSERT_EQ(outcome.rows.size(), direct.rows.size());
+  for (std::size_t i = 0; i < outcome.rows.size(); ++i) {
+    EXPECT_EQ(outcome.rows[i], direct.rows[i]) << "row " << i;
+  }
+}
+
 TEST_F(ServiceServerTest, BeamTasksStreamBackForTheoremSweeps) {
   ServiceRequest request;  // default rooted-tree broadcast → beam pass
   request.scenario.sizes = {4, 6};

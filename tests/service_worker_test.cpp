@@ -8,12 +8,18 @@
 //   * cache correctness — overlapping sweeps sharing a result cache
 //     stay byte-identical to cold runs, and the second request executes
 //     exactly the non-overlapping delta (counters exposed via
-//     WorkerReport).
+//     WorkerReport);
+//   * one row path — oblivious replicates run as lockstep lane chunks in
+//     the worker too, and however the job is split (ranges cutting a
+//     chunk, a truncated first wave, one worker) its rows equal
+//     runScenario's byte for byte.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -329,6 +335,107 @@ TEST_F(ServiceWorkerTest, LosingTheLastGroupResumesFromTheCache) {
               sortedLines(drainedBytes))
         << "jobs=" << jobs;
   }
+}
+
+// --- lane chunks ------------------------------------------------------
+
+/// A thm31-shaped request whose replicates batch: nine seeds engage auto
+/// batching, three of the four members are oblivious, and the two beam
+/// tasks are trivial (beamMaxN below every size).
+[[nodiscard]] ServiceRequest makeBatchedRequest() {
+  ServiceRequest request;
+  request.scenario.sizes = {8, 16};
+  request.scenario.seedsPerSize = 9;
+  request.scenario.masterSeed = 3;
+  request.scenario.adversaries = {"static-path", "random-tree", "k-leaf:k=2",
+                                  "freeze-path:depth=1"};
+  request.beamMaxN = 4;
+  return request;
+}
+
+/// Runs one worker and checks its accounting: every pending task it took
+/// on was either a cache hit or executed.
+WorkerReport runCounted(const WorkerOptions& options) {
+  const WorkerReport report = runManifestWorker(options);
+  EXPECT_EQ(report.cacheHits + report.executed,
+            report.assigned - report.alreadyDone - report.remaining);
+  return report;
+}
+
+/// The drained manifest's rows must equal runScenario's, byte for byte.
+void expectRowsMatchRunScenario(const std::string& manifestPath,
+                                const ServiceRequest& request) {
+  const auto state = loadManifest(manifestPath);
+  ASSERT_TRUE(state.has_value() && state->complete());
+  std::vector<ServiceTaskResult> results;
+  for (std::size_t p = 0; p < planServiceJob(request).rowCount; ++p) {
+    results.push_back({state->records[p]->rounds,
+                       state->records[p]->completed});
+  }
+  const std::vector<SweepRow> served =
+      assembleServiceRows(request.scenario, results);
+  EngineConfig config;
+  config.jobs = 2;
+  ExperimentEngine engine(config);
+  const std::vector<SweepRow> direct =
+      runScenario(request.scenario, engine).rows;
+  ASSERT_EQ(served.size(), direct.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i], direct[i]) << "row " << i;
+  }
+}
+
+TEST_F(ServiceWorkerTest, LaneChunksDrainByteIdenticallyHoweverSplit) {
+  const ServiceRequest request = makeBatchedRequest();
+  const std::size_t tasks = planServiceJob(request).taskCount();
+  ASSERT_EQ(tasks, 2u * 9u * 4u + 2u);
+  // The first oblivious cell is positions 0, 4, …, 32: its 8-lane chunk
+  // spans 0..28, so a range boundary at 10 cuts it.
+  std::vector<std::size_t> all(tasks - 2);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  ASSERT_EQ(groupBatchable(request.scenario, all).front(),
+            (RowChunk{0, 4, 8, 12, 16, 20, 24, 28}));
+
+  // Two range workers whose boundary cuts a chunk.
+  const std::string ranged = path("ranged.manifest");
+  writeManifestFor(ranged, request);
+  WorkerOptions low;
+  low.manifestPath = ranged;
+  low.cacheDir = path("ranged_cache");
+  low.jobs = 3;
+  low.rangeEnd = 10;
+  WorkerOptions high = low;
+  high.rangeBegin = 10;
+  high.rangeEnd = tasks;
+  EXPECT_EQ(runCounted(low).executed, 10u);
+  EXPECT_EQ(runCounted(high).executed, tasks - 10);
+  expectRowsMatchRunScenario(ranged, request);
+
+  // A first wave truncated by max-tasks, then the rest.
+  const std::string truncated = path("truncated.manifest");
+  writeManifestFor(truncated, request);
+  WorkerOptions wave;
+  wave.manifestPath = truncated;
+  wave.cacheDir = path("truncated_cache");
+  wave.jobs = 3;
+  wave.maxTasks = 13;
+  const WorkerReport first = runCounted(wave);
+  EXPECT_EQ(first.executed, 13u);
+  EXPECT_EQ(first.remaining, tasks - 13);
+  wave.maxTasks = std::numeric_limits<std::size_t>::max();
+  const WorkerReport second = runCounted(wave);
+  EXPECT_EQ(second.alreadyDone, 13u);
+  EXPECT_EQ(second.executed, tasks - 13);
+  expectRowsMatchRunScenario(truncated, request);
+
+  // One in-process worker over everything.
+  const std::string whole = path("whole.manifest");
+  writeManifestFor(whole, request);
+  WorkerOptions single;
+  single.manifestPath = whole;
+  single.jobs = 3;
+  EXPECT_EQ(runCounted(single).executed, tasks);
+  expectRowsMatchRunScenario(whole, request);
 }
 
 TEST_F(ServiceWorkerTest, MissingManifestThrows) {

@@ -17,7 +17,7 @@
 #include "src/analysis/csv.h"
 #include "src/bounds/theorem.h"
 #include "src/dynamics/registry.h"
-#include "src/engine/scenario.h"
+#include "src/engine/task_plan.h"
 #include "src/service/client.h"
 #include "src/service/server.h"
 #include "src/service/worker.h"
@@ -38,57 +38,6 @@ int guarded(F&& body) {
     std::cerr << "dynbcast: " << e.what() << '\n';
     return 2;
   }
-}
-
-int usage(std::ostream& os) {
-  os << "usage: dynbcast <subcommand> [flags]\n\n"
-        "subcommands:\n"
-        "  sweep      Theorem 3.1 sweep (default rooted-tree dynamics: "
-        "portfolio + beam\n"
-        "             witnesses vs the paper's bracket; any other "
-        "--dynamics runs the\n"
-        "             model-zoo sweep over sizes x seed replicates)\n"
-        "             [--sizes=4:128:2] [--seed=1] [--seeds=R] [--jobs=N]\n"
-        "             [--csv=path] [--adversaries=SPECS] "
-        "[--dynamics=SPEC] [--summary]\n"
-        "             [--cap=ROUNDS] [--beam-maxn=32] [--beam-width=256]\n"
-        "             [--backend=dense|sparse|auto] (graph-model dynamics "
-        "only)\n"
-        "             [--batch=K|auto|off] (oblivious replicate batching)\n"
-        "  portfolio  general scenario runner over objective x dynamics x "
-        "adversaries\n"
-        "             [--objective=broadcast|gossip] [--dynamics=SPEC]\n"
-        "             [--sizes=8:64:2] [--seed=1] [--seeds=R] [--jobs=N]\n"
-        "             [--cap=ROUNDS] [--csv=path] [--adversaries=SPECS] "
-        "[--summary]\n"
-        "             [--backend=dense|sparse|auto] [--batch=K|auto|off]\n"
-        "  duel       all listed adversaries fight one instance\n"
-        "             [--n=32] [--seed=7] [--adversaries=SPECS] "
-        "[--csv=path]\n"
-        "  witness    offline beam witness search with verification\n"
-        "             [--n=16] [--seed=7] [--beam=256] [--restarts=3]\n"
-        "  list       registered adversaries, the dynamics model zoo, and "
-        "scenario vocabulary\n"
-        "  serve      experiment service: checkpointed manifests, "
-        "spec-keyed result\n"
-        "             cache, optional worker-process sharding\n"
-        "             --socket=PATH --state=DIR [--workers=N] [--jobs=J]\n"
-        "             [--max-requests=K]\n"
-        "  submit     run a sweep through a running server (sweep's "
-        "flags except\n"
-        "             --jobs and --batch, plus --socket=PATH; --csv output "
-        "is byte-identical\n"
-        "             to sweep's)\n"
-        "  work       execute a manifest's unfinished tasks "
-        "(server workers run this)\n"
-        "             --manifest=PATH [--cache=DIR] [--jobs=J] "
-        "[--range=A:B]\n"
-        "\n"
-        "adversary SPECS are ';'-separated registry spec strings, e.g.\n"
-        "  --adversaries=\"static-path;freeze-path:depth=3;beam:width=64\"\n"
-        "dynamics SPEC is one DynamicsRegistry spec string, e.g.\n"
-        "  --dynamics=edge-markovian:p=0.2,q=0.1   (see 'dynbcast list')\n";
-  return 2;
 }
 
 /// --summary: per-(n, member) aggregate over seed replicates, in
@@ -219,29 +168,34 @@ void emitPerAdversaryDetail(const std::vector<SweepInstance>& instances) {
   return table;
 }
 
+/// The scenario flags `sweep`, `portfolio` and `submit` share; the first
+/// two add --batch, the last two --objective. Rooted trees are
+/// adversary-driven, so only dense/auto resolve there; validateScenario
+/// rejects an explicit --backend=sparse with the right error instead of
+/// silently ignoring the flag.
+[[nodiscard]] ScenarioSpec scenarioFromFlags(const Options& opts,
+                                             const std::string& sizes) {
+  ScenarioSpec scenario;
+  scenario.dynamics = opts.getString("dynamics", "rooted-tree");
+  scenario.sizes = parseSizeList(opts.getString("sizes", sizes));
+  scenario.masterSeed = opts.getUInt("seed", 1);
+  scenario.seedsPerSize = opts.getUInt("seeds", 1);
+  scenario.roundCap = opts.getUInt("cap", 0);
+  scenario.adversaries = splitSpecList(opts.getString("adversaries", ""));
+  scenario.backend = parseBackendChoice(opts.getString("backend", "auto"));
+  return scenario;
+}
+
 /// `sweep --dynamics=SPEC` for anything but the default rooted-tree
 /// dynamics: the model-zoo sweep. Same driver dialect, unified rows,
-/// deterministic at any --jobs.
-int runDynamicsSweep(BenchDriver& driver, const std::string& dynamicsText,
+/// deterministic at any --jobs. Graph-model dynamics never batch; the
+/// scenario's --batch is parsed anyway, so an explicit --batch=K fails
+/// validation instead of being ignored.
+int runDynamicsSweep(BenchDriver& driver, const ScenarioSpec& scenario,
                      bool wantSummary) {
-  ScenarioSpec scenario;
-  scenario.dynamics = dynamicsText;
-  scenario.sizes = driver.sizes();
-  scenario.masterSeed = driver.seed();
-  scenario.seedsPerSize = driver.seedsPerSize();
-  scenario.roundCap = driver.options().getUInt("cap", 0);
-  scenario.adversaries =
-      splitSpecList(driver.options().getString("adversaries", ""));
-  scenario.backend =
-      parseBackendChoice(driver.options().getString("backend", "auto"));
-  // Graph-model dynamics never batch; parsing the flag anyway means an
-  // explicit --batch=K fails validation instead of being ignored.
-  scenario.batch =
-      parseBatchPolicy(driver.options().getString("batch", "auto"));
   driver.options().rejectUnread();
-
   driver.printHeader("SWEEP — dynamics=" +
-                     DynamicsSpec::parse(dynamicsText).toString() +
+                     DynamicsSpec::parse(scenario.dynamics).toString() +
                      ", backend=" + backendChoiceName(scenario.backend));
   const ScenarioResult result = runScenario(scenario, driver.engine());
   driver.emit(dynamicsRowsTable(result.rows));
@@ -276,38 +230,19 @@ int runSweep(int argc, const char* const* argv) {
   return guarded([&] {
     BenchDriver driver(argc, argv, "4:128:2", 1);
     const bool wantSummary = driver.options().has("summary");
-    const std::string dynamicsText =
-        driver.options().getString("dynamics", "rooted-tree");
-    if (DynamicsSpec::parse(dynamicsText).toString() != "rooted-tree") {
+    ScenarioSpec scenario = scenarioFromFlags(driver.options(), "4:128:2");
+    scenario.batch =
+        parseBatchPolicy(driver.options().getString("batch", "auto"));
+    if (DynamicsSpec::parse(scenario.dynamics).toString() != "rooted-tree") {
       // Any non-default dynamics runs the model-zoo sweep; the theorem
       // bracket below is specific to unrestricted rooted trees.
-      return runDynamicsSweep(driver, dynamicsText, wantSummary);
+      return runDynamicsSweep(driver, scenario, wantSummary);
     }
     // Beam witness search is the strongest (offline) adversary; it costs
     // real time and its advantage concentrates at small-to-mid n, so it
     // runs only up to a size cap by default.
     const std::size_t beamMaxN = driver.options().getUInt("beam-maxn", 32);
-    BeamConfig beamCfg;
-    beamCfg.beamWidth = driver.options().getUInt("beam-width", 256);
-    beamCfg.randomMovesPerState = 8;
-    beamCfg.diversityPercent = 40;
-
-    // Portfolio sweep as a declarative scenario: sizes × seed replicates
-    // × adversary specs (default = the standard portfolio).
-    ScenarioSpec scenario;
-    scenario.sizes = driver.sizes();
-    scenario.masterSeed = driver.seed();
-    scenario.seedsPerSize = driver.seedsPerSize();
-    scenario.roundCap = driver.options().getUInt("cap", 0);
-    scenario.adversaries =
-        splitSpecList(driver.options().getString("adversaries", ""));
-    // Rooted trees are adversary-driven, so only dense/auto resolve;
-    // validateScenario rejects an explicit --backend=sparse with the
-    // right error instead of silently ignoring the flag.
-    scenario.backend =
-        parseBackendChoice(driver.options().getString("backend", "auto"));
-    scenario.batch =
-        parseBatchPolicy(driver.options().getString("batch", "auto"));
+    const std::size_t beamWidth = driver.options().getUInt("beam-width", 256);
     driver.options().rejectUnread();
 
     driver.printHeader("THM31 — adversaries vs Theorem 3.1");
@@ -319,14 +254,8 @@ int runSweep(int argc, const char* const* argv) {
     // Beam witnesses fan out too: one task per size within the beam cap.
     const std::vector<std::size_t>& sizes = driver.sizes();
     const auto beamRows = driver.engine().map<std::size_t>(
-        sizes.size(), driver.seed() ^ 0xbea3ull,
-        [&](std::size_t i, std::uint64_t taskSeed) -> std::size_t {
-          const std::size_t n = sizes[i];
-          if (n > beamMaxN) return 0;
-          const BeamResult witness = beamSearchWitness(n, taskSeed, beamCfg);
-          return verifyWitness(n, witness.witness) == witness.rounds
-                     ? witness.rounds
-                     : 0;
+        sizes.size(), 0, [&](std::size_t i, std::uint64_t) {
+          return scenarioBeamWitness(scenario, i, beamWidth, beamMaxN);
         });
 
     bool anyViolation = false;
@@ -348,21 +277,11 @@ int runPortfolio(int argc, const char* const* argv) {
   return guarded([&] {
     BenchDriver driver(argc, argv, "8:64:2", 1);
     const bool wantSummary = driver.options().has("summary");
-    ScenarioSpec scenario;
-    scenario.objective =
-        parseObjective(driver.options().getString("objective", "broadcast"));
-    scenario.dynamics =
-        driver.options().getString("dynamics", "rooted-tree");
-    scenario.sizes = driver.sizes();
-    scenario.masterSeed = driver.seed();
-    scenario.seedsPerSize = driver.seedsPerSize();
-    scenario.roundCap = driver.options().getUInt("cap", 0);
-    scenario.adversaries =
-        splitSpecList(driver.options().getString("adversaries", ""));
-    scenario.backend =
-        parseBackendChoice(driver.options().getString("backend", "auto"));
+    ScenarioSpec scenario = scenarioFromFlags(driver.options(), "8:64:2");
     scenario.batch =
         parseBatchPolicy(driver.options().getString("batch", "auto"));
+    scenario.objective =
+        parseObjective(driver.options().getString("objective", "broadcast"));
     driver.options().rejectUnread();
     validateScenario(scenario);  // a rejected spec prints no header
 
@@ -457,8 +376,8 @@ int runWitness(int argc, const char* const* argv) {
 
     BeamConfig cfg;
     cfg.beamWidth = opts.getUInt("beam", 256);
-    cfg.randomMovesPerState = 8;
-    cfg.diversityPercent = 40;
+    cfg.randomMovesPerState = kBeamRandomMoves;
+    cfg.diversityPercent = kBeamDiversityPercent;
     opts.rejectUnread();
 
     std::cout << "beam witness search at n = " << n << " (beam "
@@ -624,18 +543,9 @@ int runSubmit(int argc, const char* const* argv) {
     const Options opts(argc, argv);
     const std::string socket = opts.getString("socket", "");
     ServiceRequest request;
+    request.scenario = scenarioFromFlags(opts, "4:128:2");
     request.scenario.objective =
         parseObjective(opts.getString("objective", "broadcast"));
-    request.scenario.dynamics = opts.getString("dynamics", "rooted-tree");
-    request.scenario.sizes =
-        parseSizeList(opts.getString("sizes", "4:128:2"));
-    request.scenario.masterSeed = opts.getUInt("seed", 1);
-    request.scenario.seedsPerSize = opts.getUInt("seeds", 1);
-    request.scenario.roundCap = opts.getUInt("cap", 0);
-    request.scenario.adversaries =
-        splitSpecList(opts.getString("adversaries", ""));
-    request.scenario.backend =
-        parseBackendChoice(opts.getString("backend", "auto"));
     request.beamMaxN = opts.getUInt("beam-maxn", 32);
     request.beamWidth = opts.getUInt("beam-width", 256);
     const std::optional<std::string> csvPath = opts.get("csv");
@@ -722,25 +632,104 @@ int runWork(int argc, const char* const* argv) {
   });
 }
 
+namespace {
+
+struct Subcommand {
+  const char* name;
+  int (*run)(int argc, const char* const* argv);
+  const char* usage;  ///< its block under "subcommands:"
+};
+
+const Subcommand kSubcommands[] = {
+    {"sweep", runSweep,
+     "  sweep      Theorem 3.1 sweep (default rooted-tree dynamics: "
+     "portfolio + beam\n"
+     "             witnesses vs the paper's bracket; any other "
+     "--dynamics runs the\n"
+     "             model-zoo sweep over sizes x seed replicates)\n"
+     "             [--sizes=4:128:2] [--seed=1] [--seeds=R] [--jobs=N]\n"
+     "             [--csv=path] [--adversaries=SPECS] "
+     "[--dynamics=SPEC] [--summary]\n"
+     "             [--cap=ROUNDS] [--beam-maxn=32] [--beam-width=256]\n"
+     "             [--backend=dense|sparse|auto] (graph-model dynamics "
+     "only)\n"
+     "             [--batch=K|auto|off] (oblivious replicate batching)\n"},
+    {"portfolio", runPortfolio,
+     "  portfolio  general scenario runner over objective x dynamics x "
+     "adversaries\n"
+     "             [--objective=broadcast|gossip] [--dynamics=SPEC]\n"
+     "             [--sizes=8:64:2] [--seed=1] [--seeds=R] [--jobs=N]\n"
+     "             [--cap=ROUNDS] [--csv=path] [--adversaries=SPECS] "
+     "[--summary]\n"
+     "             [--backend=dense|sparse|auto] [--batch=K|auto|off]\n"},
+    {"duel", runDuel,
+     "  duel       all listed adversaries fight one instance\n"
+     "             [--n=32] [--seed=7] [--adversaries=SPECS] "
+     "[--csv=path]\n"},
+    {"witness", runWitness,
+     "  witness    offline beam witness search with verification\n"
+     "             [--n=16] [--seed=7] [--beam=256] [--restarts=3]\n"},
+    {"list", runList,
+     "  list       registered adversaries, the dynamics model zoo, and "
+     "scenario vocabulary\n"},
+    {"serve", runServe,
+     "  serve      experiment service: checkpointed manifests, "
+     "spec-keyed result\n"
+     "             cache, optional worker-process sharding\n"
+     "             --socket=PATH --state=DIR [--workers=N] [--jobs=J]\n"
+     "             [--max-requests=K]\n"},
+    {"submit", runSubmit,
+     "  submit     run a sweep through a running server (sweep's "
+     "flags except\n"
+     "             --jobs and --batch, plus --socket=PATH; --csv output "
+     "is byte-identical\n"
+     "             to sweep's)\n"},
+    {"work", runWork,
+     "  work       execute a manifest's unfinished tasks "
+     "(server workers run this)\n"
+     "             --manifest=PATH [--cache=DIR] [--jobs=J] "
+     "[--range=A:B]\n"},
+};
+
+int usage(std::ostream& os) {
+  os << "usage: dynbcast <subcommand> [flags]\n\nsubcommands:\n";
+  for (const Subcommand& sub : kSubcommands) os << sub.usage;
+  os << "\n"
+        "adversary SPECS are ';'-separated registry spec strings, e.g.\n"
+        "  --adversaries=\"static-path;freeze-path:depth=3;beam:width=64\"\n"
+        "dynamics SPEC is one DynamicsRegistry spec string, e.g.\n"
+        "  --dynamics=edge-markovian:p=0.2,q=0.1   (see 'dynbcast list')\n";
+  return 2;
+}
+
+[[nodiscard]] bool isHelpFlag(const std::string& arg) {
+  return arg == "--help" || arg == "-h";
+}
+
+}  // namespace
+
 int dispatch(int argc, const char* const* argv) {
   if (argc < 2) return usage(std::cerr);
   const std::string subcommand = argv[1];
-  if (subcommand == "sweep") return runSweep(argc - 1, argv + 1);
-  if (subcommand == "portfolio") return runPortfolio(argc - 1, argv + 1);
-  if (subcommand == "duel") return runDuel(argc - 1, argv + 1);
-  if (subcommand == "witness") return runWitness(argc - 1, argv + 1);
-  if (subcommand == "list") return runList(argc - 1, argv + 1);
-  if (subcommand == "serve") return runServe(argc - 1, argv + 1);
-  if (subcommand == "submit") return runSubmit(argc - 1, argv + 1);
-  if (subcommand == "work") return runWork(argc - 1, argv + 1);
-  if (subcommand == "help" || subcommand == "--help" || subcommand == "-h") {
+  if (subcommand == "help" || isHelpFlag(subcommand)) {
     usage(std::cout);
     return 0;
   }
+  std::vector<std::string> names;
+  for (const Subcommand& sub : kSubcommands) {
+    names.push_back(sub.name);
+    if (subcommand != sub.name) continue;
+    // `dynbcast <subcommand> --help` prints that subcommand's usage,
+    // before any flag is parsed or rejected.
+    if (std::any_of(argv + 2, argv + argc, isHelpFlag)) {
+      std::cout << "usage: dynbcast " << sub.name << " [flags]\n\n"
+                << sub.usage;
+      return 0;
+    }
+    return sub.run(argc - 1, argv + 1);
+  }
   std::cerr << "dynbcast: unknown subcommand '" << subcommand << "'";
-  const std::string suggestion =
-      closestMatch(subcommand, {"sweep", "portfolio", "duel", "witness",
-                                "list", "serve", "submit", "work"});
+  const std::string suggestion = closestMatch(subcommand, names);
   if (!suggestion.empty()) {
     std::cerr << "; did you mean '" << suggestion << "'?";
   }
