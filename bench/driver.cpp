@@ -26,23 +26,20 @@ BenchDriver::BenchDriver(int argc, const char* const* argv,
       seedsPerSize_(opts_.getUInt("seeds", 1)),
       engine_(configFrom(opts_)) {}
 
-SweepSpec BenchDriver::sweepSpec() const {
-  SweepSpec spec;
-  spec.sizes = sizes_;
-  spec.masterSeed = seed_;
-  spec.seedsPerSize = seedsPerSize_;
-  return spec;
-}
-
 void BenchDriver::printHeader(const std::string& title) const {
   std::cout << title << " (seed=" << seed_ << ", jobs=" << jobs() << ")\n\n";
 }
 
 void BenchDriver::emit(const TextTable& table) const {
+  emitTable(table, csvPath_);
+}
+
+void emitTable(const TextTable& table,
+               const std::optional<std::string>& csvPath) {
   std::cout << table.render() << '\n';
-  if (csvPath_) {
-    writeCsv(*csvPath_, table);
-    std::cout << "wrote CSV to " << *csvPath_ << '\n';
+  if (csvPath) {
+    writeCsv(*csvPath, table);
+    std::cout << "wrote CSV to " << *csvPath << '\n';
   }
 }
 

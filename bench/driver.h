@@ -1,16 +1,16 @@
-// Shared driver for the bench binaries.
+// Shared driver for the dynbcast sweep subcommands and bench/perf_harness.
 //
-// Every sweep bench speaks the same CLI dialect — --sizes, --seed,
-// --jobs, --csv — and fans its work out through one ExperimentEngine.
-// This driver owns that common surface so each bench's main() shrinks to:
-// declare defaults, describe the work, format the table. Flags:
+// Every sweep speaks the same CLI dialect — --sizes, --seed, --jobs,
+// --csv — and fans its work out through one ExperimentEngine. This
+// driver owns that common surface so each caller shrinks to: declare
+// defaults, describe the work, format the table. Flags:
 //
 //   --sizes=LO:HI:STEP | a,b,c   sweep sizes (step is multiplicative)
 //   --seed=S                     master seed; per-task seeds are derived
 //                                from it by position (SeedSequence), so
 //                                output is identical at any --jobs value
 //   --seeds=R                    independent seed replicates per size
-//                                (sweep benches; default 1)
+//                                (default 1)
 //   --jobs=J                     worker threads; 0 (default) = all cores
 //   --csv=PATH                   also write the main table as CSV
 #pragma once
@@ -33,7 +33,7 @@ class BenchDriver {
   BenchDriver(int argc, const char* const* argv,
               const std::string& defaultSizes, std::uint64_t defaultSeed = 1);
 
-  /// Bench-specific extras (--beam-width etc.) stay available.
+  /// Caller-specific extras (--beam-width etc.) stay available.
   [[nodiscard]] const Options& options() const noexcept { return opts_; }
 
   [[nodiscard]] const std::vector<std::size_t>& sizes() const noexcept {
@@ -54,9 +54,6 @@ class BenchDriver {
   /// The engine all of this bench's work runs through.
   [[nodiscard]] ExperimentEngine& engine() noexcept { return engine_; }
 
-  /// A SweepSpec with sizes and masterSeed prefilled from the CLI.
-  [[nodiscard]] SweepSpec sweepSpec() const;
-
   /// One-line run banner: "<title> (seed=S, jobs=J)\n\n".
   void printHeader(const std::string& title) const;
 
@@ -71,5 +68,9 @@ class BenchDriver {
   std::size_t seedsPerSize_;
   ExperimentEngine engine_;
 };
+
+/// Prints the table; also writes it to csvPath when one is given.
+void emitTable(const TextTable& table,
+               const std::optional<std::string>& csvPath);
 
 }  // namespace dynbcast

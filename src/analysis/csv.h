@@ -1,6 +1,6 @@
 // CSV/file export helpers for benches and examples.
 //
-// Every sweep bench that regenerates a paper figure can persist its
+// Every subcommand that prints a paper table can persist its
 // TextTable as CSV (one header row, comma-separated cells, quoted only
 // when needed), so the same run that prints a terminal table also leaves
 // a plottable artifact. writeFile() is the single filesystem touchpoint

@@ -484,8 +484,9 @@ void registerBuiltins(DynamicsRegistry& reg) {
     info.name = "nonsplit-skewed";
     info.description =
         "nonsplit graphs whose common in-neighbors are biased towards few "
-        "low-index dispatchers";
-    info.literature = "slow regime of [2]/[9]";
+        "low-index dispatchers (as generated, node 0 informs almost every "
+        "node in round one, so broadcast takes 1 round)";
+    info.literature = "nonsplit graphs of [2] (ceil(log2 n) broadcast)";
     info.graphClass = DynamicsClass::kNonsplit;
     info.stochastic = true;
     info.params = {};  // no parameters, deliberately

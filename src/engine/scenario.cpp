@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/adversary/registry.h"
+#include "src/bounds/bounds.h"
 #include "src/dynamics/registry.h"
 #include "src/engine/task_plan.h"
 
@@ -151,6 +152,53 @@ void validateScenario(const ScenarioSpec& spec) {
           parsed.name + "'");
     }
   }
+}
+
+std::vector<std::string> scenarioClaimViolations(
+    const ScenarioSpec& spec, const std::vector<SweepRow>& rows) {
+  const DynamicsSpec dynamics = DynamicsSpec::parse(spec.dynamics);
+  const DynamicsInfo& entry = DynamicsRegistry::instance().info(dynamics.name);
+  const bool trees = entry.mode == DynamicsMode::kAdversaryTrees;
+  const bool broadcast = spec.objective == Objective::kBroadcast;
+  const std::string objective = objectiveName(spec.objective);
+  std::vector<std::string> violations;
+  for (const SweepRow& row : rows) {
+    const std::size_t n = row.n;
+    const auto flag = [&](const std::string& claim) {
+      violations.push_back(
+          "n=" + std::to_string(n) + " seed=" +
+          std::to_string(row.seedIndex) + " " + row.member + ": " +
+          (row.completed ? objective + " took "
+                         : "no " + objective + " within ") +
+          std::to_string(row.rounds) + " rounds, but " + claim);
+    };
+    const auto checkUpper = [&](std::uint64_t bound, const std::string& why) {
+      if (row.completed ? row.rounds > bound : row.rounds >= bound) {
+        flag(why + " <= " + std::to_string(bound));
+      }
+    };
+    if (trees && broadcast) {
+      checkUpper(bounds::linearUpper(n), "Theorem 3.1 says");
+      if (dynamics.name == "restricted") {
+        // Both classes of [14] are O(kn), evaluated as k·n.
+        checkUpper(bounds::kLeafUpper(n, dynamics.params.getUInt("k", 2)),
+                   "[14]'s O(kn) says");
+      }
+    }
+    if (trees && row.member == "static-path") {
+      if (broadcast && (row.completed ? row.rounds != n - 1
+                                      : row.rounds >= n - 1)) {
+        flag("section 2 says exactly n-1 = " + std::to_string(n - 1));
+      }
+      if (!broadcast && row.completed && n >= 2) {
+        flag("section 5 says a static tree never completes gossip");
+      }
+    }
+    if (entry.graphClass == DynamicsClass::kNonsplit) {
+      checkUpper(bounds::nonsplitLogUpper(n), "[2]'s ceil(log2 n) says");
+    }
+  }
+  return violations;
 }
 
 ScenarioResult runScenario(const ScenarioSpec& spec,

@@ -104,6 +104,20 @@ void validateScenario(const ScenarioSpec& spec);
 using ScenarioRow = SweepRow;
 using ScenarioResult = SweepResult;
 
+/// The paper's claims as one check over a scenario's rows. Returns one
+/// line per row that breaks a claim its scenario makes; empty when every
+/// claim holds:
+///   * broadcast over adversary-driven trees: within Theorem 3.1's
+///     ⌈(1+√2)n − 1⌉, and within k·n under restricted:k=K ([14]);
+///   * static-path: broadcast in exactly n − 1 rounds (§2), and gossip
+///     never completes (§5);
+///   * nonsplit graph models: broadcast within ⌈log₂ n⌉ rounds ([2]).
+/// A completed row took exactly its rounds. An incomplete one ran out of
+/// rounds at its cap, so it breaks an upper bound only when that cap
+/// reached the bound: rows left incomplete under a small cap pass.
+[[nodiscard]] std::vector<std::string> scenarioClaimViolations(
+    const ScenarioSpec& spec, const std::vector<SweepRow>& rows);
+
 /// Executes the scenario on the engine: validateScenario, then
 /// groupBatchable over every position, runRowChunk per chunk across the
 /// pool with each row in its position's slot, then aggregateInstances.

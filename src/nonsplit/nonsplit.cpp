@@ -58,8 +58,10 @@ BitMatrix skewedNonsplitGraph(std::size_t n, Rng& rng) {
   DYNBCAST_ASSERT(n > 0);
   BitMatrix g = BitMatrix::identity(n);
   // Every pair gets a common in-neighbor biased towards low indices, so a
-  // few "dispatcher" nodes do most of the informing — the slow nonsplit
-  // regime (information still spreads in O(log n), per [2]).
+  // few "dispatcher" nodes do most of the informing. As drawn (the min of
+  // two picks among the lowest n/8 ids), node 0 is almost surely an
+  // in-neighbor of every node, so broadcast ends in round one: this is
+  // not a slow regime, only a nonsplit one (still within [2]'s log n).
   const std::size_t span = std::max<std::size_t>(1, n / 8);
   for (std::size_t y1 = 0; y1 < n; ++y1) {
     for (std::size_t y2 = y1 + 1; y2 < n; ++y2) {

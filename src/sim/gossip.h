@@ -33,7 +33,7 @@ struct GossipComparison {
 
 /// Default round cap for GOSSIP runs. Gossip has no unconditional upper
 /// bound in this model — an adaptive delayer can stall it forever (see
-/// the SEC5 bench) — so unlike defaultRoundCap(n), which encodes the
+/// bench/figures/gossip.spec) — so unlike defaultRoundCap(n), which encodes the
 /// paper's broadcast bound ⌈(1+√2)n−1⌉, this cap is a stall detector:
 /// oblivious dynamic sequences finish gossip in Θ(n) (≈ 2n for the
 /// alternating ping-pong), so ~10n with slack separates "slow" from

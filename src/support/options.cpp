@@ -1,9 +1,13 @@
 #include "src/support/options.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/support/spec.h"
 
@@ -108,30 +112,50 @@ void Options::rejectUnreadOrExit() const {
 }
 
 std::vector<std::size_t> parseSizeList(const std::string& spec) {
-  std::vector<std::size_t> out;
-  if (spec.empty()) return out;
-  if (spec.find(':') != std::string::npos) {
-    // lo:hi:step (multiplicative step, default 2)
-    std::size_t lo = 0, hi = 0, step = 2;
-    const auto c1 = spec.find(':');
-    const auto c2 = spec.find(':', c1 + 1);
-    lo = std::stoull(spec.substr(0, c1));
-    if (c2 == std::string::npos) {
-      hi = std::stoull(spec.substr(c1 + 1));
-    } else {
-      hi = std::stoull(spec.substr(c1 + 1, c2 - c1 - 1));
-      step = std::stoull(spec.substr(c2 + 1));
+  // Each token must be a whole number >= 1 with nothing after it: "8x"
+  // or "8,,16" fails loudly instead of running a different sweep.
+  const auto number = [&spec](std::string_view token) {
+    std::size_t value = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || ptr != end || value == 0) {
+      throw std::invalid_argument(
+          "size list '" + spec + "': '" + std::string(token) +
+          "' is not a whole number from 1 to " +
+          std::to_string(std::numeric_limits<std::size_t>::max()));
     }
-    if (step < 2) throw std::invalid_argument("step must be >= 2");
-    for (std::size_t v = lo; v <= hi; v *= step) out.push_back(v);
+    return value;
+  };
+  const std::string_view text = spec;
+  std::vector<std::size_t> out;
+  if (text.empty()) return out;
+  const auto c1 = text.find(':');
+  if (c1 != std::string_view::npos) {
+    // lo:hi[:step] — a multiplicative step, default 2.
+    const auto c2 = text.find(':', c1 + 1);
+    const std::size_t lo = number(text.substr(0, c1));
+    const std::size_t hi = number(text.substr(c1 + 1, c2 - c1 - 1));
+    const std::size_t step =
+        c2 == std::string_view::npos ? 2 : number(text.substr(c2 + 1));
+    if (step < 2) {
+      throw std::invalid_argument("size list '" + spec +
+                                  "': step must be >= 2");
+    }
+    if (lo > hi) {
+      throw std::invalid_argument("size list '" + spec +
+                                  "': lo must not exceed hi");
+    }
+    // v <= hi / step guarantees v * step <= hi, so it never wraps.
+    for (std::size_t v = lo;; v *= step) {
+      out.push_back(v);
+      if (v > hi / step) break;
+    }
     return out;
   }
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const auto comma = spec.find(',', pos);
-    const auto end = comma == std::string::npos ? spec.size() : comma;
-    out.push_back(std::stoull(spec.substr(pos, end - pos)));
-    pos = end + 1;
+  for (std::size_t pos = 0; pos <= text.size();) {
+    const auto comma = std::min(text.find(',', pos), text.size());
+    out.push_back(number(text.substr(pos, comma - pos)));
+    pos = comma + 1;
   }
   return out;
 }

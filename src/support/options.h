@@ -63,6 +63,8 @@ class Options {
 };
 
 /// Parses "8,16,32" or "8:64:2" (lo:hi:multiplicative-step) into a list.
+/// Throws std::invalid_argument, naming the token, on a size of 0, a
+/// token with trailing garbage or out of range, step < 2, or lo > hi.
 [[nodiscard]] std::vector<std::size_t> parseSizeList(const std::string& spec);
 
 }  // namespace dynbcast

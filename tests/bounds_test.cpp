@@ -66,6 +66,16 @@ TEST(BoundsTest, NewBoundDominatedByOldBoundsAsymptotically) {
   }
 }
 
+TEST(BoundsTest, Figure1CrossoverAtEveryPrintedSize) {
+  // bench/figures/fig1.spec's reading: the new linear bound beats [9] at
+  // every size it prints, and beats n log n from n = 8 on.
+  for (std::size_t n = 8; n <= 4096; n *= 2) {
+    const auto linear = bounds::linearUpper(n);
+    EXPECT_LT(static_cast<double>(linear), bounds::nLogLogUpper(n)) << n;
+    EXPECT_LT(linear, bounds::nLogNUpper(n)) << n;
+  }
+}
+
 TEST(BoundsTest, RestrictedBoundsScaleWithK) {
   EXPECT_EQ(bounds::kLeafUpper(100, 2), 200u);
   EXPECT_EQ(bounds::kInnerUpper(100, 8), 800u);

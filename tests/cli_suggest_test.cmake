@@ -9,6 +9,7 @@
 #   -DEXPECT_RC=<the exact exit status required; optional — without it
 #               any nonzero status passes and 0 fails>
 #   -DEXPECT_STDOUT=<a regex stdout must match; optional>
+#   -DEXPECT_STDERR=<a regex stderr must match; optional>
 #   -DNO_STDOUT=ON   (optional: a rejected run must print nothing to
 #                    stdout, not even a header)
 # A flag suggestion must reach stderr; a subcommand one may use either
@@ -32,6 +33,11 @@ if(DEFINED EXPECT_STDOUT AND NOT run_out MATCHES "${EXPECT_STDOUT}")
   message(FATAL_ERROR
     "'dynbcast ${SUBCOMMAND} ${ARGS}' stdout does not match "
     "'${EXPECT_STDOUT}'; it was:\n${run_out}${run_err}")
+endif()
+if(DEFINED EXPECT_STDERR AND NOT run_err MATCHES "${EXPECT_STDERR}")
+  message(FATAL_ERROR
+    "'dynbcast ${SUBCOMMAND} ${ARGS}' stderr does not match "
+    "'${EXPECT_STDERR}'; it was:\n${run_err}")
 endif()
 if(NO_STDOUT AND NOT run_out STREQUAL "")
   message(FATAL_ERROR

@@ -1,8 +1,8 @@
 # Bit-identity regression for sweep CSVs: runs a sweep binary and
 # byte-compares its --csv artifact against the committed golden file.
 # Invoked by ctest (see CMakeLists.txt) with:
-#   -DBENCH=<path to bench_thm31_adversary_sweep or the dynbcast CLI>
-#   -DSUBCOMMAND=<optional subcommand, e.g. sweep for the dynbcast CLI>
+#   -DBENCH=<path to the dynbcast CLI>
+#   -DSUBCOMMAND=<the subcommand, e.g. sweep>
 #   -DJOBS=<worker count>  (1 and 8 both must reproduce the golden bytes)
 #   -DSIZES=<--sizes sweep spec, e.g. 4:128:4>
 #   -DDYNAMICS=<optional --dynamics spec, e.g. edge-markovian:p=0.2,q=0.1>

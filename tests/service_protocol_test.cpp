@@ -100,6 +100,15 @@ TEST(ServiceProtocolTest, DecodeRequiresSizes) {
                std::invalid_argument);
 }
 
+TEST(ServiceProtocolTest, DecodeRejectsHostileSizes) {
+  // A zero lower bound would otherwise loop forever pushing zeros, so one
+  // request line could exhaust the server's memory.
+  for (const char* line : {"sizes=0:8:2", "sizes=8x", "sizes=8,,16",
+                           "sizes=1:99999999999999999999999"}) {
+    EXPECT_THROW((void)decodeRequest({line}), std::invalid_argument) << line;
+  }
+}
+
 TEST(ServiceProtocolTest, HashPrimitivesAreStable) {
   // These values land in on-disk filenames (manifests, cache buckets);
   // pin them so a refactor cannot silently orphan existing state.

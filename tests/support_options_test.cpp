@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace dynbcast {
 namespace {
 
@@ -121,6 +124,58 @@ TEST(ParseSizeListTest, EmptyGivesEmpty) {
 
 TEST(ParseSizeListTest, BadStepThrows) {
   EXPECT_THROW(parseSizeList("4:16:1"), std::invalid_argument);
+}
+
+// The message names the offending token, so a typo is found at once.
+void expectRejected(const std::string& spec, const std::string& token) {
+  try {
+    (void)parseSizeList(spec);
+    FAIL() << "'" << spec << "' must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ParseSizeListTest, TrailingGarbageThrows) {
+  expectRejected("8x", "'8x'");
+  expectRejected("4:16:2junk", "'2junk'");
+  expectRejected("4:16x:2", "'16x'");
+  expectRejected("4:16:2:3", "'2:3'");
+  expectRejected("-8", "'-8'");
+  expectRejected(" 8", "' 8'");
+}
+
+TEST(ParseSizeListTest, EmptyTokenThrows) {
+  expectRejected("8,,16", "''");
+  expectRejected("8,16,", "''");
+  expectRejected(":16", "''");
+}
+
+TEST(ParseSizeListTest, ZeroThrows) {
+  // lo = 0 would otherwise push zeros forever (0 * step stays 0).
+  expectRejected("0:8:2", "'0'");
+  expectRejected("0", "'0'");
+  expectRejected("4,0", "'0'");
+}
+
+TEST(ParseSizeListTest, LoAboveHiThrows) {
+  EXPECT_THROW(parseSizeList("16:4"), std::invalid_argument);
+}
+
+TEST(ParseSizeListTest, OverflowThrows) {
+  expectRejected("99999999999999999999999", "'99999999999999999999999'");
+  expectRejected("1:99999999999999999999999", "'99999999999999999999999'");
+}
+
+TEST(ParseSizeListTest, RangeNearTheTopNeverWraps) {
+  // The step past hi would wrap around SIZE_MAX; the range stops first.
+  const std::size_t top = std::numeric_limits<std::size_t>::max();
+  const auto v = parseSizeList(std::to_string(top / 2) + ":" +
+                               std::to_string(top) + ":2");
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[1], top / 2 * 2);
+  EXPECT_EQ(parseSizeList("1:1:2"), std::vector<std::size_t>{1});
 }
 
 }  // namespace

@@ -5,16 +5,18 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <optional>
+#include <sstream>
 
 #include "bench/driver.h"
 #include "src/adversary/beam.h"
 #include "src/adversary/portfolio.h"
 #include "src/adversary/registry.h"
-#include "src/analysis/csv.h"
+#include "src/bounds/bounds.h"
 #include "src/bounds/theorem.h"
 #include "src/dynamics/registry.h"
 #include "src/engine/task_plan.h"
@@ -98,6 +100,17 @@ void emitSummary(const std::vector<SweepRow>& rows) {
             << summaryTable(rows).render() << '\n';
 }
 
+/// Prints each row that breaks a paper claim (scenarioClaimViolations)
+/// and returns the exit status: 1 when any row did, else 0.
+int reportClaims(const ScenarioSpec& spec, const std::vector<SweepRow>& rows) {
+  const std::vector<std::string> violations =
+      scenarioClaimViolations(spec, rows);
+  for (const std::string& line : violations) {
+    std::cout << "CLAIM VIOLATION: " << line << '\n';
+  }
+  return violations.empty() ? 0 : 1;
+}
+
 /// The Theorem 3.1 bracket table: one row per size, best-of portfolio
 /// and beam witness vs the paper's bounds. Shared by `sweep` (direct
 /// execution) and `submit` (served execution) — byte-identical output
@@ -105,10 +118,9 @@ void emitSummary(const std::vector<SweepRow>& rows) {
 [[nodiscard]] TextTable thm31Table(
     const std::vector<std::size_t>& sizes, std::size_t replicates,
     const std::vector<SweepInstance>& instances,
-    const std::vector<std::size_t>& beamRounds, bool* anyViolation) {
+    const std::vector<std::size_t>& beamRounds) {
   TextTable table({"n", "lower bound", "portfolio t*", "beam witness t*",
                    "best t*", "upper bound", "t*/n", "upper ok"});
-  *anyViolation = false;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const std::size_t n = sizes[i];
     // Portfolio t* for this n: best over its --seeds replicates (the
@@ -121,7 +133,6 @@ void emitSummary(const std::vector<SweepRow>& rows) {
     const std::size_t beam = beamRounds[i];
     const std::size_t best = std::max(portfolioBest, beam);
     const TheoremCheck check = checkTheorem31(n, best);
-    *anyViolation |= !check.withinUpper;
     table.row()
         .add(static_cast<std::uint64_t>(n))
         .add(check.lower)
@@ -133,6 +144,24 @@ void emitSummary(const std::vector<SweepRow>& rows) {
         .add(check.withinUpper ? "yes" : "VIOLATION");
   }
   return table;
+}
+
+/// The closing verdict of a Theorem 3.1 sweep, shared by `sweep` and
+/// `submit`: the claims over the rows plus one row per searched beam
+/// witness (a verified witness is a broadcast run like any other).
+int thm31Verdict(const ScenarioSpec& spec, std::vector<SweepRow> rows,
+                 const std::vector<std::size_t>& beamRounds) {
+  for (std::size_t i = 0; i < spec.sizes.size(); ++i) {
+    if (beamRounds[i] == 0) continue;
+    rows.push_back({.n = spec.sizes[i], .member = "beam witness",
+                    .rounds = beamRounds[i], .completed = true,
+                    .history = {}});
+  }
+  const int status = reportClaims(spec, rows);
+  std::cout << (status == 0
+                    ? "RESULT: all runs within the theorem's upper bound.\n"
+                    : "RESULT: CLAIM VIOLATION DETECTED (bug!)\n");
+  return status;
 }
 
 void emitPerAdversaryDetail(const std::vector<SweepInstance>& instances) {
@@ -151,10 +180,10 @@ void emitPerAdversaryDetail(const std::vector<SweepInstance>& instances) {
   std::cout << per.render() << '\n';
 }
 
-/// The model-zoo sweep table: one row per (n, seed, member) run. Shared
-/// by `sweep --dynamics=SPEC` and `submit` for the same reason as
+/// One row per (n, seed, member) run. Shared by `portfolio`, `sweep
+/// --dynamics=SPEC` and `submit`, the latter two for the same reason as
 /// thm31Table.
-[[nodiscard]] TextTable dynamicsRowsTable(const std::vector<SweepRow>& rows) {
+[[nodiscard]] TextTable rowsTable(const std::vector<SweepRow>& rows) {
   TextTable table({"n", "seed", "member", "rounds", "rounds/n", "completed"});
   for (const SweepRow& row : rows) {
     table.row()
@@ -198,9 +227,9 @@ int runDynamicsSweep(BenchDriver& driver, const ScenarioSpec& scenario,
                      DynamicsSpec::parse(scenario.dynamics).toString() +
                      ", backend=" + backendChoiceName(scenario.backend));
   const ScenarioResult result = runScenario(scenario, driver.engine());
-  driver.emit(dynamicsRowsTable(result.rows));
+  driver.emit(rowsTable(result.rows));
   if (wantSummary) emitSummary(result.rows);
-  return 0;
+  return reportClaims(scenario, result.rows);
 }
 
 }  // namespace
@@ -258,18 +287,11 @@ int runSweep(int argc, const char* const* argv) {
           return scenarioBeamWitness(scenario, i, beamWidth, beamMaxN);
         });
 
-    bool anyViolation = false;
     driver.emit(thm31Table(sizes, driver.seedsPerSize(), sweep.instances,
-                           beamRows, &anyViolation));
+                           beamRows));
     emitPerAdversaryDetail(sweep.instances);
     if (wantSummary) emitSummary(sweep.rows);
-
-    if (anyViolation) {
-      std::cout << "RESULT: UPPER BOUND VIOLATION DETECTED (bug!)\n";
-      return 1;
-    }
-    std::cout << "RESULT: all runs within the theorem's upper bound.\n";
-    return 0;
+    return thm31Verdict(scenario, sweep.rows, beamRows);
   });
 }
 
@@ -291,20 +313,7 @@ int runPortfolio(int argc, const char* const* argv) {
         ", backend=" + backendChoiceName(scenario.backend));
     const ScenarioResult result = runScenario(scenario, driver.engine());
 
-    TextTable table(
-        {"n", "seed", "adversary", "rounds", "rounds/n", "completed"});
-    for (const ScenarioRow& row : result.rows) {
-      table.row()
-          .add(static_cast<std::uint64_t>(row.n))
-          .add(static_cast<std::uint64_t>(row.seedIndex))
-          .add(row.member)
-          .add(static_cast<std::uint64_t>(row.rounds))
-          .add(static_cast<double>(row.rounds) /
-                   static_cast<double>(row.n),
-               3)
-          .add(row.completed ? "yes" : "no");
-    }
-    driver.emit(table);
+    driver.emit(rowsTable(result.rows));
 
     std::cout << "strongest adversary per instance (Definition 2.3's "
                  "max over the listed specs):\n";
@@ -320,7 +329,7 @@ int runPortfolio(int argc, const char* const* argv) {
     }
     std::cout << best.render() << '\n';
     if (wantSummary) emitSummary(result.rows);
-    return 0;
+    return reportClaims(scenario, result.rows);
   });
 }
 
@@ -352,11 +361,7 @@ int runDuel(int argc, const char* const* argv) {
           .add(ratio, 3)
           .add((delta >= 0 ? "+" : "") + std::to_string(delta));
     }
-    std::cout << table.render() << '\n';
-    if (csvPath) {
-      writeCsv(*csvPath, table);
-      std::cout << "wrote CSV to " << *csvPath << '\n';
-    }
+    emitTable(table, csvPath);
 
     const TheoremCheck check = checkTheorem31(n, result.bestRounds);
     std::cout << "champion: " << result.bestName
@@ -405,6 +410,50 @@ int runWitness(int argc, const char* const* argv) {
                                    : "not beaten at this search effort")
               << '\n';
     return verified == best.rounds ? 0 : 1;
+  });
+}
+
+int runBounds(int argc, const char* const* argv) {
+  return guarded([&] {
+    const Options opts(argc, argv);
+    const std::vector<std::size_t> sizes =
+        parseSizeList(opts.getString("sizes", "8:4096:2"));
+    const std::vector<std::size_t> ks =
+        parseSizeList(opts.getString("ks", "2,4,8"));
+    const std::optional<std::string> csvPath = opts.get("csv");
+    opts.rejectUnread();
+
+    std::cout << "FIG1 — upper-bound landscape (paper Figure 1)\n"
+              << "columns: trivial n^2 | (n-1)ceil(log2 n) [14 via 1+2] | "
+                 "2n loglog n + 2n [9] | ceil((1+sqrt2)n - 1) [this paper] "
+                 "| lower bound ceil((3n-1)/2)-2 [14]\n\n";
+    TextTable table({"n", "trivial n^2", "n log n", "2n loglog n + O(n)",
+                     "(1+sqrt2)n (new)", "lower bound"});
+    for (const std::size_t n : sizes) {
+      table.row()
+          .add(static_cast<std::uint64_t>(n))
+          .add(bounds::trivialUpper(n))
+          .add(bounds::nLogNUpper(n))
+          .add(bounds::nLogLogUpper(n), 1)
+          .add(bounds::linearUpper(n))
+          .add(bounds::lowerBound(n));
+    }
+    emitTable(table, csvPath);
+
+    std::cout << "restricted adversaries [14] (O(kn), evaluated as k*n):\n";
+    TextTable restricted({"n", "k", "k-leaf bound", "k-inner bound"});
+    for (const std::size_t n : sizes) {
+      for (const std::size_t k : ks) {
+        if (k >= n) continue;
+        restricted.row()
+            .add(static_cast<std::uint64_t>(n))
+            .add(static_cast<std::uint64_t>(k))
+            .add(bounds::kLeafUpper(n, k))
+            .add(bounds::kInnerUpper(n, k));
+      }
+    }
+    std::cout << restricted.render() << '\n';
+    return 0;
   });
 }
 
@@ -562,40 +611,27 @@ int runSubmit(int argc, const char* const* argv) {
     const SubmitOutcome outcome =
         submitRequest(socket, request, &std::cerr);
 
-    const auto emitTable = [&](const TextTable& table) {
-      std::cout << table.render() << '\n';
-      if (csvPath) {
-        writeCsv(*csvPath, table);
-        std::cout << "wrote CSV to " << *csvPath << '\n';
-      }
-    };
-
     if (requestWantsBeamWitnesses(request)) {
       std::cout << "THM31 — adversaries vs Theorem 3.1 (served; seed="
                 << request.scenario.masterSeed << ")\n\n";
-      bool anyViolation = false;
       emitTable(thm31Table(request.scenario.sizes,
                            request.scenario.seedsPerSize, outcome.instances,
-                           outcome.beamRounds, &anyViolation));
+                           outcome.beamRounds),
+                csvPath);
       emitPerAdversaryDetail(outcome.instances);
       if (wantSummary) emitSummary(outcome.rows);
       emitServiceStats(outcome);
-      if (anyViolation) {
-        std::cout << "RESULT: UPPER BOUND VIOLATION DETECTED (bug!)\n";
-        return 1;
-      }
-      std::cout << "RESULT: all runs within the theorem's upper bound.\n";
-      return 0;
+      return thm31Verdict(request.scenario, outcome.rows, outcome.beamRounds);
     }
 
     std::cout << "SWEEP — dynamics="
               << DynamicsSpec::parse(request.scenario.dynamics).toString()
               << ", backend=" << backendChoiceName(request.scenario.backend)
               << " (served; seed=" << request.scenario.masterSeed << ")\n\n";
-    emitTable(dynamicsRowsTable(outcome.rows));
+    emitTable(rowsTable(outcome.rows), csvPath);
     if (wantSummary) emitSummary(outcome.rows);
     emitServiceStats(outcome);
-    return 0;
+    return reportClaims(request.scenario, outcome.rows);
   });
 }
 
@@ -669,6 +705,18 @@ const Subcommand kSubcommands[] = {
     {"witness", runWitness,
      "  witness    offline beam witness search with verification\n"
      "             [--n=16] [--seed=7] [--beam=256] [--restarts=3]\n"},
+    {"bounds", runBounds,
+     "  bounds     the paper's Figure 1: every upper bound and the lower "
+     "bound over n,\n"
+     "             plus [14]'s O(kn) restricted-class bounds\n"
+     "             [--sizes=8:4096:2] [--ks=2,4,8] [--csv=path]\n"},
+    {"reproduce", runReproduce,
+     "  reproduce  runs figure files (bench/figures/*.spec): prints each "
+     "'#' line,\n"
+     "             runs every other line as a dynbcast subcommand line, "
+     "and exits\n"
+     "             with the largest status; no flags of its own\n"
+     "             FILE...\n"},
     {"list", runList,
      "  list       registered adversaries, the dynamics model zoo, and "
      "scenario vocabulary\n"},
@@ -706,7 +754,80 @@ int usage(std::ostream& os) {
   return arg == "--help" || arg == "-h";
 }
 
+[[nodiscard]] const Subcommand* findSubcommand(const std::string& name) {
+  for (const Subcommand& sub : kSubcommands) {
+    if (name == sub.name) return &sub;
+  }
+  return nullptr;
+}
+
+[[nodiscard]] std::string unknownSubcommand(const std::string& name) {
+  std::vector<std::string> names;
+  for (const Subcommand& sub : kSubcommands) names.push_back(sub.name);
+  std::string message = "unknown subcommand '" + name + "'";
+  const std::string suggestion = closestMatch(name, names);
+  if (!suggestion.empty()) message += "; did you mean '" + suggestion + "'?";
+  return message;
+}
+
 }  // namespace
+
+int runReproduce(int argc, const char* const* argv) {
+  return guarded([&] {
+    const Options opts(argc, argv);
+    opts.rejectUnread();
+    if (opts.positional().empty()) {
+      throw std::invalid_argument(
+          "reproduce: name at least one figure file, e.g. "
+          "bench/figures/thm31.spec");
+    }
+    // Every file is read and every line checked before any runs, so a
+    // typo on the last line costs no figure time. A comment is kept as
+    // its text alone, a command as its argv from "dynbcast" on.
+    std::vector<std::vector<std::string>> script;
+    for (const std::string& path : opts.positional()) {
+      std::ifstream in(path);
+      if (!in) throw std::invalid_argument("reproduce: cannot read " + path);
+      std::string text;
+      for (std::size_t number = 1; std::getline(in, text); ++number) {
+        std::istringstream words(text);
+        std::vector<std::string> line{"dynbcast"};
+        for (std::string word; words >> word;) line.push_back(word);
+        if (line.size() == 1) continue;
+        if (line[1][0] == '#') {
+          script.push_back({text});
+          continue;
+        }
+        const std::string where = path + ":" + std::to_string(number) + ": ";
+        if (line[1] == "reproduce") {
+          throw std::invalid_argument(where +
+                                      "a figure file cannot run reproduce");
+        }
+        if (findSubcommand(line[1]) == nullptr) {
+          throw std::invalid_argument(where + unknownSubcommand(line[1]));
+        }
+        script.push_back(std::move(line));
+      }
+    }
+    int status = 0;
+    for (const std::vector<std::string>& line : script) {
+      if (line.size() == 1) {
+        std::cout << line[0] << '\n';
+        continue;
+      }
+      std::vector<const char*> args;
+      std::cout << "$";
+      for (const std::string& arg : line) {
+        std::cout << ' ' << arg;
+        args.push_back(arg.c_str());
+      }
+      std::cout << std::endl;
+      status = std::max(
+          status, dispatch(static_cast<int>(args.size()), args.data()));
+    }
+    return status;
+  });
+}
 
 int dispatch(int argc, const char* const* argv) {
   if (argc < 2) return usage(std::cerr);
@@ -715,26 +836,19 @@ int dispatch(int argc, const char* const* argv) {
     usage(std::cout);
     return 0;
   }
-  std::vector<std::string> names;
-  for (const Subcommand& sub : kSubcommands) {
-    names.push_back(sub.name);
-    if (subcommand != sub.name) continue;
-    // `dynbcast <subcommand> --help` prints that subcommand's usage,
-    // before any flag is parsed or rejected.
-    if (std::any_of(argv + 2, argv + argc, isHelpFlag)) {
-      std::cout << "usage: dynbcast " << sub.name << " [flags]\n\n"
-                << sub.usage;
-      return 0;
-    }
-    return sub.run(argc - 1, argv + 1);
+  const Subcommand* sub = findSubcommand(subcommand);
+  if (sub == nullptr) {
+    std::cerr << "dynbcast: " << unknownSubcommand(subcommand) << "\n\n";
+    return usage(std::cerr);
   }
-  std::cerr << "dynbcast: unknown subcommand '" << subcommand << "'";
-  const std::string suggestion = closestMatch(subcommand, names);
-  if (!suggestion.empty()) {
-    std::cerr << "; did you mean '" << suggestion << "'?";
+  // `dynbcast <subcommand> --help` prints that subcommand's usage,
+  // before any flag is parsed or rejected.
+  if (std::any_of(argv + 2, argv + argc, isHelpFlag)) {
+    std::cout << "usage: dynbcast " << sub->name << " [flags]\n\n"
+              << sub->usage;
+    return 0;
   }
-  std::cerr << "\n\n";
-  return usage(std::cerr);
+  return sub->run(argc - 1, argv + 1);
 }
 
 }  // namespace dynbcast::cli

@@ -1,8 +1,6 @@
 // The dynbcast CLI: one binary over the whole experiment surface.
 //
-// Subcommands (each also callable as a library function, so bench
-// binaries can forward to them — bench_thm31_adversary_sweep is
-// `cli::runSweep` under its historical name):
+// Subcommands (each also callable as a library function):
 //
 //   sweep      Theorem 3.1 reproduction under the default rooted-tree
 //              dynamics: portfolio sweep + beam witnesses vs the paper's
@@ -15,6 +13,10 @@
 //   duel       every listed adversary fights one (n, seed) instance;
 //              champion vs the theorem bracket.
 //   witness    offline beam witness search at one n, with verification.
+//   bounds     the paper's Figure 1: every bound evaluated over n.
+//   reproduce  runs figure files (bench/figures/*.spec): '#' lines are
+//              printed, every other line runs as a subcommand line, and
+//              the exit status is the largest any line returned.
 //   list       registered adversary specs, the dynamics model zoo, and
 //              the scenario vocabulary.
 //   serve      the experiment service: accepts submit requests over a
@@ -34,6 +36,9 @@
 //   --adversaries="static-path;freeze-path:depth=3;beam:width=64",
 // and --dynamics takes one DynamicsRegistry spec string, e.g.
 //   --dynamics=edge-markovian:p=0.2,q=0.1.
+// `sweep`, `portfolio` and `submit` check their rows against the paper's
+// claims (scenarioClaimViolations), print any row that breaks one, and
+// then exit 1.
 #pragma once
 
 #include <string>
@@ -52,6 +57,8 @@ int runSweep(int argc, const char* const* argv);
 int runPortfolio(int argc, const char* const* argv);
 int runDuel(int argc, const char* const* argv);
 int runWitness(int argc, const char* const* argv);
+int runBounds(int argc, const char* const* argv);
+int runReproduce(int argc, const char* const* argv);
 int runList(int argc, const char* const* argv);
 int runServe(int argc, const char* const* argv);
 int runSubmit(int argc, const char* const* argv);
