@@ -1,7 +1,7 @@
-// EXACT: the exact game value t*(T_n) for tiny n, computed by exhaustive
-// minimax over all n^(n−1) rooted trees per round — the ground truth that
-// the paper's bounds must bracket, and the yardstick for how close our
-// heuristic adversaries come to optimal play.
+// EXACT: the exact game value t*(T_n) for tiny n, computed by an
+// exhaustive survival search over all n^(n−1) rooted trees per round —
+// the ground truth that the paper's bounds must bracket, and the
+// yardstick for how close our heuristic adversaries come to optimal play.
 //
 // The second table goes past solve()'s practical range with
 // witnessPlay(): a certified line of play reaching the paper's lower

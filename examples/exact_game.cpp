@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
             << exact.tStar << " optimal rounds\n";
 
   std::cout << "\none optimal line of play:\n";
-  ExactSolver replaySolver(n);
-  for (const RootedTree& move : replaySolver.optimalPlay()) {
+  for (const RootedTree& move : exact.line) {
     std::cout << "  " << move.toString() << '\n';
   }
 

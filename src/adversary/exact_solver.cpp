@@ -4,14 +4,13 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/adversary/adaptive.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/support/assert.h"
-#include "src/support/eval_scratch.h"
 #include "src/support/hashing.h"
 #include "src/support/rng.h"
 #include "src/tree/enumerate.h"
@@ -21,29 +20,23 @@ namespace dynbcast {
 
 namespace {
 
-constexpr std::size_t kStride = 8;  // bits per row in the packed state
-/// Largest full move pool the exhaustive queries enumerate: covers
-/// n = 8 (8^7 = 2,097,152 trees); n = 9 would need 43M.
+/// Largest full move pool the search enumerates: covers n = 8
+/// (8^7 = 2,097,152 trees); n = 9 would need 43M.
 constexpr std::uint64_t kExhaustivePoolLimit = 4'000'000;
 /// Orbit-scan abort threshold: a state whose invariant partition still
 /// admits more permutations than this is left un-canonicalized. Sound —
 /// the memo merely merges fewer equivalent states.
 constexpr std::uint64_t kMaxOrbitPerms = 1'000'000;
-/// Successor-count ceiling for the dominance filter (it is quadratic,
-/// and near-symmetric states can have millions of pairwise-incomparable
-/// successors that the filter would scan for nothing).
+/// Child-count ceiling for the dominance filter (it is quadratic, and
+/// near-symmetric states can have millions of pairwise-incomparable
+/// children that the filter would scan for nothing).
 constexpr std::size_t kDominanceLimit = 2048;
-/// Noisy damage trees per node in the witness search's structured pool
-/// (n > 8 only).
+/// Noisy damage trees per node in the structured pool (n > 8 only).
 constexpr std::size_t kNoisyMovesPerNode = 2;
-/// Children the witness search explores per node, best-potential first.
-/// Bounds memory on the exhaustive pool, where one state can have
-/// millions of distinct successors.
+/// Children witnessPlay explores per node, best-potential first. Bounds
+/// memory on the complete pool, where one state can have millions of
+/// distinct successors.
 constexpr std::size_t kMaxChildrenPerNode = 4096;
-
-std::uint64_t rowOf(std::uint64_t state, std::size_t y) {
-  return (state >> (y * kStride)) & 0xFFu;
-}
 
 /// Row-array state: row y = Heard(y) as a 16-bit mask; rows >= n are 0.
 using Rows = std::array<std::uint16_t, ExactSolver::kMaxN>;
@@ -85,12 +78,34 @@ bool isBroadcastRows(const Rows& s, std::size_t n) {
   return common != 0;
 }
 
-std::size_t totalBits(const Rows& s, std::size_t n) {
-  std::size_t total = 0;
+/// The convex coverage potential Σ_x 2^cov(x). A strict row-wise
+/// superset has a strictly larger potential, so ascending potential is a
+/// linear extension of ⊆.
+std::uint32_t potential(const Rows& s, std::size_t n) {
+  std::array<std::uint8_t, ExactSolver::kMaxN> coverage{};
   for (std::size_t y = 0; y < n; ++y) {
-    total += static_cast<std::size_t>(std::popcount(s[y]));
+    std::uint16_t bits = s[y];
+    while (bits != 0) {
+      ++coverage[static_cast<unsigned>(std::countr_zero(bits))];
+      bits = static_cast<std::uint16_t>(bits & (bits - 1));
+    }
   }
-  return total;
+  std::uint32_t sum = 0;
+  for (std::size_t x = 0; x < n; ++x) sum += 1u << coverage[x];
+  return sum;
+}
+
+/// A total order on states that compares the highest rows first, eight
+/// bytes at a time.
+bool rowsBefore(const Rows& a, const Rows& b) {
+  for (std::size_t c = 4; c > 0; --c) {
+    std::uint64_t x = 0;
+    std::uint64_t y = 0;
+    std::memcpy(&x, a.data() + (c - 1) * 4, sizeof(x));
+    std::memcpy(&y, b.data() + (c - 1) * 4, sizeof(y));
+    if (x != y) return x < y;
+  }
+  return false;
 }
 
 /// True when a is a row-wise subset of b (a has heard no more than b).
@@ -227,27 +242,33 @@ Rows canonicalRows(const Rows& s, std::size_t n) {
   return scan.best;
 }
 
-// --- Exhaustive machinery ---------------------------------------------------
+// --- Move pools -------------------------------------------------------------
 
-/// The full move pool as flat parent bytes (n per tree).
+/// Trees as flat parent bytes (n per tree).
 struct MovePool {
   std::size_t n = 0;
   std::size_t count = 0;
-  std::vector<std::uint8_t> parents;
+  std::vector<std::uint8_t> parents{};
 
-  void build(std::size_t n_) {
-    n = n_;
+  /// Every rooted tree on [n].
+  static MovePool complete(std::size_t n) {
     DYNBCAST_ASSERT_MSG(
         rootedTreeCount(n) <= kExhaustivePoolLimit,
         "exhaustive move pool infeasible beyond n = 8; use witnessPlay()");
-    parents.reserve(static_cast<std::size_t>(rootedTreeCount(n)) * n);
+    MovePool pool{n};
+    pool.parents.reserve(static_cast<std::size_t>(rootedTreeCount(n)) * n);
     forEachRootedTree(n, [&](const RootedTree& t) {
-      for (std::size_t y = 0; y < n; ++y) {
-        parents.push_back(static_cast<std::uint8_t>(t.parents()[y]));
-      }
-      ++count;
+      pool.add(t);
       return true;
     });
+    return pool;
+  }
+
+  void add(const RootedTree& t) {
+    for (std::size_t y = 0; y < n; ++y) {
+      parents.push_back(static_cast<std::uint8_t>(t.parent(y)));
+    }
+    ++count;
   }
 
   const std::uint8_t* operator[](std::size_t m) const {
@@ -266,336 +287,162 @@ struct MovePool {
   }
 };
 
-/// Shared machinery between solve() and optimalPlay(): the move pool,
-/// the canonical-state memo, and the dominance filter.
-struct SolveContext {
-  std::size_t n = 0;
-  bool canonicalize = false;
-  std::size_t depthCap = 0;
-  MovePool pool;
-  std::unordered_map<Rows, std::size_t, RowsHash> memo;
+// --- The survival search ----------------------------------------------------
+
+/// Depth-first search for k more moves of survival. With the complete
+/// pool and no budget or cap, a refutation is a proof; witnessPlay's
+/// budget and child cap make it a heuristic pruning instead.
+///
+/// The memo is keyed on canonical states only for the complete pool:
+/// the structured pool breaks ties by node id and seeds its noise from
+/// the raw digest, so it is not relabeling-equivariant — an equivalent
+/// state gets a differently-tie-broken pool that may still succeed, and
+/// merging would prune it unsoundly.
+struct Search {
+  std::size_t n;
+  bool canonicalKeys;
+  const MovePool* complete;  // nullptr: structured pool, built per node
+  std::uint64_t nodeBudget;
+  std::size_t childCap;
+  std::unordered_map<Rows, std::size_t, RowsHash> refutedAt{};
+  std::uint64_t nodes = 0;
   std::uint64_t successorsExpanded = 0;
   std::uint64_t dominatedPruned = 0;
-
-  SolveContext(std::size_t n_, const ExactOptions& options)
-      : n(n_), canonicalize(options.canonicalize) {
-    depthCap = options.depthCap != 0 ? options.depthCap : n * n;
-    pool.build(n);
-  }
-
-  Rows canonical(const Rows& s) const {
-    return canonicalize ? canonicalRows(s, n) : s;
-  }
-
-  /// Game value of a (canonical) non-broadcast state: the largest number
-  /// of further rounds the adversary can force.
-  std::size_t value(const Rows& state, std::size_t depth) {
-    const auto it = memo.find(state);
-    if (it != memo.end()) return it->second;
-    DYNBCAST_ASSERT_MSG(depth < depthCap,
-                        "exceeded depth cap: monotone progress violated?");
-    // Distinct successors only: many trees induce the same transition
-    // from a given state.
-    std::vector<Rows> succ;
-    succ.reserve(pool.count);
-    for (std::size_t m = 0; m < pool.count; ++m) {
-      succ.push_back(applyParents(state, pool[m], n));
-    }
-    std::sort(succ.begin(), succ.end());
-    succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
-    // Row-wise dominance: the value is antitone under ⊆ (a state that
-    // has heard more is closer to broadcast), so successors that are
-    // supersets of another successor cannot carry the max.
-    if (succ.size() > 1 && succ.size() <= kDominanceLimit) {
-      std::stable_sort(succ.begin(), succ.end(),
-                       [&](const Rows& a, const Rows& b) {
-                         return totalBits(a, n) < totalBits(b, n);
-                       });
-      std::vector<Rows> kept;
-      kept.reserve(succ.size());
-      for (const Rows& cand : succ) {
-        bool dominated = false;
-        for (const Rows& k : kept) {
-          if (subsetRows(k, cand, n)) {
-            dominated = true;
-            break;
-          }
-        }
-        if (!dominated) kept.push_back(cand);
-      }
-      dominatedPruned += succ.size() - kept.size();
-      succ = std::move(kept);
-    }
-    std::size_t best = 0;
-    std::unordered_set<Rows, RowsHash> canonicalSeen;
-    canonicalSeen.reserve(succ.size());
-    for (const Rows& raw : succ) {
-      const Rows next = canonical(raw);
-      if (!canonicalSeen.insert(next).second) continue;
-      ++successorsExpanded;
-      const std::size_t v =
-          isBroadcastRows(next, n) ? 1 : 1 + value(next, depth + 1);
-      best = std::max(best, v);
-    }
-    memo.emplace(state, best);
-    return best;
-  }
-
-  /// Value of an arbitrary (raw) state via the canonical memo.
-  std::size_t valueOf(const Rows& raw, std::size_t depth) {
-    if (isBroadcastRows(raw, n)) return 0;
-    return value(canonical(raw), depth);
-  }
-};
-
-// --- Witness search ---------------------------------------------------------
-//
-// Depth-first search for `target` rounds of survival: a line of
-// target − 1 non-completing moves (one completing move — any star —
-// always exists, so surviving k moves certifies k + 1 rounds).
-// Children are ordered by the convex coverage potential, which walks
-// almost straight to the ⌈(3n−1)/2⌉−2 witness when the pool is
-// complete; a canonical-form failure memo prunes relabelings of
-// already-refuted states.
-
-/// Exhaustive-pool search on the packed uint64 encoding (n ≤ 8).
-struct ExhaustiveWitness {
-  std::size_t n;
-  const MovePool& pool;
-  ExactWitnessOptions opts;
-  bool canonicalize = true;
-  std::unordered_map<Rows, std::size_t, RowsHash> failedAt{};
-  std::uint64_t nodes = 0;
-
-  static Rows toRows(std::uint64_t s, std::size_t n) {
-    Rows out{};
-    for (std::size_t y = 0; y < n; ++y) {
-      out[y] = static_cast<std::uint16_t>(rowOf(s, y));
-    }
-    return out;
-  }
-
-  static std::uint32_t potentialKey(std::uint64_t s, std::size_t n) {
-    std::uint32_t key = 0;
-    for (std::size_t x = 0; x < n; ++x) {
-      const std::uint64_t mask = 0x0101010101010101ull << x;
-      key += 1u << std::popcount(s & mask);
-    }
-    return key;
-  }
+  DamageCache damage{};
 
   struct Child {
-    std::uint64_t state;
+    Rows state;
     std::uint32_t move;
     std::uint32_t pot;
   };
 
-  bool dfs(std::uint64_t state, std::size_t remaining,
-           std::vector<std::uint32_t>& line) {
-    if (remaining == 0) return true;
-    if (++nodes > opts.nodeBudget) return false;
-    Rows key = toRows(state, n);
-    if (canonicalize) key = canonicalRows(key, n);
-    const auto it = failedAt.find(key);
-    if (it != failedAt.end() && remaining >= it->second) return false;
-    std::vector<Child> succ;
-    succ.reserve(pool.count);
-    for (std::size_t m = 0; m < pool.count; ++m) {
-      std::uint64_t s2 = state;
-      const std::uint8_t* par = pool[m];
-      for (std::size_t y = 0; y < n; ++y) {
-        s2 |= rowOf(state, par[y]) << (y * kStride);
-      }
-      if (!ExactSolver::isBroadcastState(s2, n)) {
-        succ.push_back({s2, static_cast<std::uint32_t>(m), 0});
+  /// Damage-greedy trees from every root, freeze paths, heard-order
+  /// paths, and a few noisy damage trees seeded by the state's digest
+  /// (so revisits expand identically and the search stays reproducible).
+  MovePool structuredPool(const Rows& state, std::size_t k) {
+    std::vector<DynBitset> heard(n, DynBitset(n));
+    std::vector<std::size_t> coverage(n, 0);
+    for (std::size_t y = 0; y < n; ++y) {
+      for (std::size_t x = 0; x < n; ++x) {
+        if (((state[y] >> x) & 1u) == 0) continue;
+        heard[y].set(x);
+        ++coverage[x];
       }
     }
-    std::sort(succ.begin(), succ.end(), [](const Child& a, const Child& b) {
-      if (a.state != b.state) return a.state < b.state;
-      return a.move < b.move;
-    });
-    succ.erase(std::unique(succ.begin(), succ.end(),
-                           [](const Child& a, const Child& b) {
-                             return a.state == b.state;
-                           }),
-               succ.end());
-    for (Child& c : succ) c.pot = potentialKey(c.state, n);
-    std::sort(succ.begin(), succ.end(), [](const Child& a, const Child& b) {
-      if (a.pot != b.pot) return a.pot < b.pot;
-      return a.state < b.state;
-    });
-    if (succ.size() > kMaxChildrenPerNode) {
-      succ.resize(kMaxChildrenPerNode);
-      succ.shrink_to_fit();  // release before recursing (n = 8: ~30 MB)
-    }
-    for (const Child& c : succ) {
-      if (dfs(c.state, remaining - 1, line)) {
-        line[line.size() - remaining] = c.move;
-        return true;
-      }
-    }
-    if (nodes > opts.nodeBudget) return false;  // gave up, not refuted
-    const auto [fit, inserted] = failedAt.emplace(key, remaining);
-    if (!inserted && fit->second > remaining) fit->second = remaining;
-    return false;
-  }
-};
-
-/// Structured-pool search on heard matrices (n > 8): damage-greedy
-/// trees from every root, freeze paths, heard-order paths, and a few
-/// deterministic noisy damage trees per node.
-///
-/// Unlike the exhaustive search, the failure memo is keyed on the raw
-/// state: the structured pool breaks ties by node id and seeds its
-/// noise from the raw digest, so it is not relabeling-equivariant — an
-/// equivalent state gets a differently-tie-broken pool that may still
-/// succeed, and merging would prune it unsoundly.
-struct StructuredWitness {
-  std::size_t n;
-  ExactWitnessOptions opts;
-  std::unordered_map<Rows, std::size_t, RowsHash> failedAt{};
-  std::uint64_t nodes = 0;
-  EvalScratch scratch{};
-  DamageCache damage{};
-
-  static Rows heardToRows(const std::vector<DynBitset>& heard) {
-    Rows out{};
-    for (std::size_t y = 0; y < heard.size(); ++y) {
-      std::uint16_t row = 0;
-      for (std::size_t x = 0; x < heard.size(); ++x) {
-        if (heard[y].test(x)) row = static_cast<std::uint16_t>(row | (1u << x));
-      }
-      out[y] = row;
-    }
-    return out;
-  }
-
-  std::vector<RootedTree> movePool(const BroadcastSim& sim,
-                                   const std::vector<std::size_t>& coverage,
-                                   std::uint64_t nodeSeed) {
-    std::vector<RootedTree> pool;
+    Rng rng(hashHeardMatrix(heard) ^ (k * 0x9e3779b97f4a7c15ull));
+    const BroadcastSim sim = BroadcastSim::fromHeard(std::move(heard));
+    MovePool pool{n};
     // All n roots share one bind: the pairwise damage is computed once
     // per node instead of once per root.
     damage.bind(sim.heardMatrix(), coverage);
-    for (std::size_t r = 0; r < n; ++r) {
-      pool.push_back(damage.tree(r));
-    }
+    for (std::size_t r = 0; r < n; ++r) pool.add(damage.tree(r));
     const std::vector<std::size_t> base = identityOrder(n);
     for (std::size_t d = 1; d <= 3 && d < n; ++d) {
-      pool.push_back(makePath(freezeOrdering(sim, topLeaders(coverage, d),
-                                             base)));
+      pool.add(makePath(freezeOrdering(sim, topLeaders(coverage, d), base)));
     }
     std::vector<std::size_t> asc = heardSizeOrder(sim, true);
-    pool.push_back(makePath(asc));
+    pool.add(makePath(asc));
     std::reverse(asc.begin(), asc.end());
-    pool.push_back(makePath(asc));
-    // Deterministic noise: the node's state digest seeds the generator,
-    // so revisits expand identically and the search stays reproducible.
-    Rng rng(nodeSeed);
+    pool.add(makePath(asc));
     for (std::size_t i = 0; i < kNoisyMovesPerNode; ++i) {
       const std::size_t root = rng.uniform(n);
       damage.bindNoisy(sim.heardMatrix(), coverage, 8.0, rng);
-      pool.push_back(damage.tree(root));
+      pool.add(damage.tree(root));
     }
     return pool;
   }
 
-  struct Child {
-    RootedTree move;
-    std::vector<DynBitset> heard;
-    std::vector<std::size_t> coverage;
-    double potential = 0.0;
-  };
-
-  bool dfs(const std::vector<DynBitset>& heard,
-           const std::vector<std::size_t>& coverage, std::size_t remaining,
-           std::vector<RootedTree>& line) {
-    if (remaining == 0) return true;
-    if (++nodes > opts.nodeBudget) return false;
-    const Rows key = heardToRows(heard);
-    const auto it = failedAt.find(key);
-    if (it != failedAt.end() && remaining >= it->second) return false;
-    const BroadcastSim sim =
-        BroadcastSim::fromHeard(std::vector<DynBitset>(heard));
-    std::vector<RootedTree> pool = movePool(
-        sim, coverage,
-        hashHeardMatrix(heard) ^ (remaining * 0x9e3779b97f4a7c15ull));
+  /// True when some line of k moves from `state` never completes
+  /// broadcast; on success the line fills the last k slots of `line`.
+  bool survives(const Rows& state, std::size_t k,
+                std::vector<RootedTree>& line) {
+    if (k == 0) return true;
+    if (++nodes > nodeBudget) return false;
+    const Rows key = canonicalKeys ? canonicalRows(state, n) : state;
+    const auto it = refutedAt.find(key);
+    if (it != refutedAt.end() && k >= it->second) return false;
+    const MovePool structured =
+        complete == nullptr ? structuredPool(state, k) : MovePool{};
+    const MovePool& moves = complete == nullptr ? structured : *complete;
+    // Distinct non-completing children, each with its lowest move (the
+    // stable sort keeps generation order among equal states), then the
+    // childCap of lowest potential in ascending order.
     std::vector<Child> children;
-    for (RootedTree& mv : pool) {
-      const DelayScore score = evaluateCandidate(heard, coverage, mv, scratch);
-      if (score.finishes) continue;
-      bool duplicate = false;
-      for (const Child& c : children) {
-        if (c.heard == scratch.heard) {
-          duplicate = true;
-          break;
-        }
+    children.reserve(moves.count);
+    for (std::size_t m = 0; m < moves.count; ++m) {
+      const Rows next = applyParents(state, moves[m], n);
+      if (!isBroadcastRows(next, n)) {
+        children.push_back({next, static_cast<std::uint32_t>(m), 0});
       }
-      if (duplicate) continue;
-      children.push_back(Child{std::move(mv), scratch.heard,
-                               scratch.coverage, score.potential});
     }
     std::stable_sort(children.begin(), children.end(),
                      [](const Child& a, const Child& b) {
-                       return a.potential < b.potential;
+                       return rowsBefore(a.state, b.state);
                      });
-    for (Child& c : children) {
-      if (dfs(c.heard, c.coverage, remaining - 1, line)) {
-        line[line.size() - remaining] = std::move(c.move);
+    children.erase(std::unique(children.begin(), children.end(),
+                               [](const Child& a, const Child& b) {
+                                 return a.state == b.state;
+                               }),
+                   children.end());
+    for (Child& c : children) c.pot = potential(c.state, n);
+    const auto byPotential = [](const Child& a, const Child& b) {
+      if (a.pot != b.pot) return a.pot < b.pot;
+      return rowsBefore(a.state, b.state);
+    };
+    if (children.size() > childCap) {
+      const auto cut = children.begin() + static_cast<std::ptrdiff_t>(childCap);
+      std::nth_element(children.begin(), cut, children.end(), byPotential);
+      children.erase(cut, children.end());
+      children.shrink_to_fit();  // release before recursing (n = 8: ~30 MB)
+    }
+    std::sort(children.begin(), children.end(), byPotential);
+    // Survival is antitone under ⊆, so a superset of an earlier sibling
+    // survives only if that sibling does.
+    if (children.size() > 1 && children.size() <= kDominanceLimit) {
+      std::vector<Child> kept;
+      kept.reserve(children.size());
+      for (const Child& c : children) {
+        const bool dominated =
+            std::any_of(kept.begin(), kept.end(), [&](const Child& s) {
+              return subsetRows(s.state, c.state, n);
+            });
+        if (!dominated) kept.push_back(c);
+      }
+      dominatedPruned += children.size() - kept.size();
+      children = std::move(kept);
+    }
+    for (const Child& c : children) {
+      ++successorsExpanded;
+      if (survives(c.state, k - 1, line)) {
+        line[line.size() - k] = moves.tree(c.move);
         return true;
       }
     }
-    if (nodes > opts.nodeBudget) return false;  // gave up, not refuted
-    const auto [fit, inserted] = failedAt.emplace(key, remaining);
-    if (!inserted && fit->second > remaining) fit->second = remaining;
+    if (nodes > nodeBudget) return false;  // gave up, not refuted
+    const auto [fit, inserted] = refutedAt.emplace(key, k);
+    if (!inserted && fit->second > k) fit->second = k;
     return false;
   }
 };
 
-/// Replays a parent-array line on the row encoding; returns the round
-/// in which broadcast completes (0 = never within the line).
-std::size_t replayRows(std::size_t n, const std::vector<RootedTree>& play) {
+/// Appends the completing star to a surviving line and checks that the
+/// whole line broadcasts in exactly its last round.
+std::vector<RootedTree> finish(std::size_t n, std::vector<RootedTree> play) {
+  // A star makes every process hear the center's full history, center
+  // included, so it completes from any state.
+  play.push_back(makeStar(n, 0));
+  MovePool moves{n};
+  for (const RootedTree& t : play) moves.add(t);
   Rows s = identityRows(n);
-  for (std::size_t i = 0; i < play.size(); ++i) {
-    std::array<std::uint8_t, ExactSolver::kMaxN> par{};
-    for (std::size_t y = 0; y < n; ++y) {
-      par[y] = static_cast<std::uint8_t>(play[i].parent(y));
-    }
-    s = applyParents(s, par.data(), n);
-    if (isBroadcastRows(s, n)) return i + 1;
+  for (std::size_t i = 0; i < moves.count; ++i) {
+    s = applyParents(s, moves[i], n);
+    DYNBCAST_ASSERT_MSG(isBroadcastRows(s, n) == (i + 1 == moves.count),
+                        "line does not broadcast in exactly its length");
   }
-  return 0;
+  return play;
 }
 
 }  // namespace
-
-std::uint64_t ExactSolver::encodeIdentity(std::size_t n) {
-  std::uint64_t s = 0;
-  for (std::size_t y = 0; y < n; ++y) {
-    s |= std::uint64_t{1} << (y * kStride + y);
-  }
-  return s;
-}
-
-std::uint64_t ExactSolver::applyTreeEncoded(
-    std::uint64_t state, const std::vector<std::size_t>& parents) {
-  std::uint64_t out = state;
-  for (std::size_t y = 0; y < parents.size(); ++y) {
-    const std::size_t p = parents[y];
-    if (p != y) {
-      out |= rowOf(state, p) << (y * kStride);
-    }
-  }
-  return out;
-}
-
-bool ExactSolver::isBroadcastState(std::uint64_t state, std::size_t n) {
-  std::uint64_t common = rowOf(state, 0);
-  for (std::size_t y = 1; y < n && common != 0; ++y) {
-    common &= rowOf(state, y);
-  }
-  return common != 0;
-}
 
 ExactSolver::ExactSolver(std::size_t n, ExactOptions options)
     : n_(n), options_(options) {
@@ -604,89 +451,51 @@ ExactSolver::ExactSolver(std::size_t n, ExactOptions options)
 }
 
 ExactResult ExactSolver::solve() {
-  SolveContext ctx(n_, options_);
-  ExactResult result;
-  result.tStar = ctx.valueOf(identityRows(n_), 0);
-  result.statesMemoized = ctx.memo.size();
-  result.successorsExpanded = ctx.successorsExpanded;
-  result.dominatedPruned = ctx.dominatedPruned;
-  return result;
-}
-
-std::vector<RootedTree> ExactSolver::optimalPlay() {
-  SolveContext ctx(n_, options_);
-  Rows state = identityRows(n_);
-  std::size_t remaining = ctx.valueOf(state, 0);
-
-  std::vector<RootedTree> play;
-  play.reserve(remaining);
-  std::size_t depth = 0;
-  while (remaining > 0) {
-    // Pick any move whose successor preserves the game value.
-    bool found = false;
-    for (std::size_t m = 0; m < ctx.pool.count; ++m) {
-      const Rows next = applyParents(state, ctx.pool[m], n_);
-      const std::size_t v = ctx.valueOf(next, depth + 1);
-      if (v + 1 == remaining) {
-        play.push_back(ctx.pool.tree(m));
-        state = next;
-        remaining = v;
-        found = true;
-        break;
-      }
-    }
-    DYNBCAST_ASSERT_MSG(found, "no value-preserving move: memo corrupt?");
-    ++depth;
+  const MovePool pool = MovePool::complete(n_);
+  Search search{n_, options_.canonicalize, &pool,
+                std::numeric_limits<std::uint64_t>::max(),
+                std::numeric_limits<std::size_t>::max()};
+  // The static path survives n − 2 moves; deepen until a level is
+  // refuted. Refutations carry over: a state refuted at k is refuted at
+  // every larger k.
+  std::vector<RootedTree> best;
+  for (std::size_t k = n_ - 2;; ++k) {
+    std::vector<RootedTree> line(k, RootedTree::trivial());
+    if (!search.survives(identityRows(n_), k, line)) break;
+    best = std::move(line);
   }
-  DYNBCAST_ASSERT(isBroadcastRows(state, n_));
-  return play;
+  ExactResult result;
+  result.line = finish(n_, std::move(best));
+  result.tStar = result.line.size();
+  result.statesMemoized = search.refutedAt.size();
+  result.successorsExpanded = search.successorsExpanded;
+  result.dominatedPruned = search.dominatedPruned;
+  return result;
 }
 
 std::vector<RootedTree> ExactSolver::witnessPlay(
     std::size_t targetRounds, ExactWitnessOptions witnessOptions) {
   if (targetRounds == 0) return {};
-  const bool exhaustive = rootedTreeCount(n_) <= kExhaustivePoolLimit;
-
-  MovePool pool;
-  if (exhaustive) pool.build(n_);
-  ExhaustiveWitness packed{n_, pool, witnessOptions,
-                           options_.canonicalize};
-  StructuredWitness structured{n_, witnessOptions};
-
+  const bool completePool = rootedTreeCount(n_) <= kExhaustivePoolLimit;
+  const MovePool pool = completePool ? MovePool::complete(n_) : MovePool{};
+  Search search{n_, completePool && options_.canonicalize,
+                completePool ? &pool : nullptr, witnessOptions.nodeBudget,
+                kMaxChildrenPerNode};
   // The static path 0 → 1 → … → n−1 delays broadcast to round n−1, so
   // no search is needed at or below that: `staticRounds` − 1 path
   // rounds plus the star finisher.
   const std::size_t staticRounds = std::min(targetRounds, n_ - 1);
-  const auto finish = [&](std::vector<RootedTree> play) {
-    // One completing move always exists: a star makes every process
-    // hear the center's full history, center included.
-    play.push_back(makeStar(n_, 0));
-    DYNBCAST_ASSERT_MSG(replayRows(n_, play) == play.size(),
-                        "witness line does not replay to its length");
-    return play;
-  };
-
-  // Descending targets, each with its own node budget: the failure
-  // memos carry over, so a refuted attempt at t seeds the attempt at
-  // t − 1, but a budget spent on t never starves t − 1.
+  // Descending targets, each with its own node budget: the memo carries
+  // over, so a refuted attempt at t seeds the attempt at t − 1, but a
+  // budget spent on t never starves t − 1.
   for (std::size_t t = targetRounds; t > staticRounds; --t) {
-    packed.nodes = 0;
-    structured.nodes = 0;
-    if (exhaustive) {
-      std::vector<std::uint32_t> line(t - 1, 0);
-      if (!packed.dfs(encodeIdentity(n_), t - 1, line)) continue;
-      std::vector<RootedTree> play;
-      for (const std::uint32_t m : line) play.push_back(pool.tree(m));
-      return finish(std::move(play));
-    }
-    std::vector<DynBitset> heard(n_, DynBitset(n_));
-    for (std::size_t y = 0; y < n_; ++y) heard[y].set(y);
+    search.nodes = 0;
     std::vector<RootedTree> line(t - 1, RootedTree::trivial());
-    if (structured.dfs(heard, std::vector<std::size_t>(n_, 1), t - 1, line)) {
-      return finish(std::move(line));
+    if (search.survives(identityRows(n_), t - 1, line)) {
+      return finish(n_, std::move(line));
     }
   }
-  return finish(std::vector<RootedTree>(staticRounds - 1, makePath(n_)));
+  return finish(n_, std::vector<RootedTree>(staticRounds - 1, makePath(n_)));
 }
 
 }  // namespace dynbcast

@@ -2,35 +2,38 @@
 //
 // Definition 2.3 makes t*(T_n) the value of a one-player game: the
 // adversary repeatedly picks any rooted tree on [n] to maximize the
-// number of rounds until the product graph has a full row. Since
-// processes have no choices, the value is the longest path from the
-// identity state to a broadcast state in the (finite, acyclic-by-
-// monotonicity) state graph — computable exactly by memoized DFS over
-// all n^(n−1) moves per state.
+// number of rounds until the product graph has a full row. One
+// completing move (any star) always exists, so t* is one more than the
+// largest k for which the adversary can survive k moves from the
+// identity state without completing broadcast.
 //
-// States are stored as row arrays of 16-bit masks (row y = Heard(y)),
-// which carries the solver to n ≤ 16; the historical packed-uint64
-// encoding (row y in byte y, n ≤ 8) survives as static helpers. The
-// memo canonicalizes states under simultaneous node relabeling with an
-// orbit-pruned permutation scan: nodes are partitioned by refined
-// degree-style invariants and only permutations respecting the
-// partition are tried — typically a handful instead of n!.
+// Both queries run one depth-first search, survives(state, k): can the
+// adversary survive k more moves from this heard state? States are row
+// arrays of 16-bit masks (row y = Heard(y)), which carries the solver
+// to n ≤ 16. A node's children are the distinct non-completing
+// successors under its move pool — every rooted tree for n ≤ 8, a
+// structured pool beyond (damage trees from every root, freezes,
+// heard-order paths, noisy damage trees) — ordered by the coverage
+// potential Σ_x 2^cov(x). That order extends ⊆ (a state that has heard
+// more survives no longer), so one pass drops every child that is a
+// superset of an earlier sibling. A memo records the smallest refuted k
+// per state; for the complete pool its keys are canonical under
+// simultaneous node relabeling (an orbit-pruned permutation scan over
+// invariant cells, typically a handful of permutations instead of n!).
 //
-// Two query modes:
-//   solve()/optimalPlay() — the exhaustive game value. Feasible while
-//   the full move pool n^(n−1) is enumerable (n ≤ 8 structurally;
-//   practical through n = 5).
-//   witnessPlay(target) — a certified lower-bound line of play: a
-//   depth-first search for `target` rounds of survival, pruned by a
-//   canonical-form failure memo. For n ≤ 8 the search branches over the
-//   complete move pool; beyond that over a structured pool (damage
-//   trees, freezes, heard-order paths, noisy damage trees). The
-//   returned sequence replays to exactly its length — reaching the
-//   ⌈(3n−1)/2⌉−2 bound of [14] through n = 9 in seconds.
+//   solve() deepens k upward from n − 2 (the static path) with no node
+//   budget and no child cap; the first level refuted exhaustively gives
+//   t*, returned with the line of play that survived the level below.
+//   Needs the complete pool (n ≤ 8); practical through n = 6.
+//   witnessPlay(target) walks targets downward with a per-target node
+//   budget and at most 4096 children per node, and returns a certified
+//   lower-bound line — reaching the ⌈(3n−1)/2⌉−2 bound of [14] through
+//   n = 9 in seconds.
 //
-// This module validates everything else at small scale: the simulators,
-// the bound formulas of Theorem 3.1, and how close the heuristic
-// adversaries come to optimal play.
+// Every returned line replays to broadcast in exactly its length. This
+// module validates everything else at small scale: the simulators, the
+// bound formulas of Theorem 3.1, and how close the heuristic adversaries
+// come to optimal play.
 #pragma once
 
 #include <cstdint>
@@ -43,17 +46,18 @@ namespace dynbcast {
 struct ExactOptions {
   /// Canonicalize states under node relabeling (strongly recommended).
   bool canonicalize = true;
-  /// Hard cap on recursion depth as a safety net; 0 = n² (the trivial
-  /// bound: at least one new edge appears per round).
-  std::size_t depthCap = 0;
 };
 
 struct ExactResult {
   /// The exact game value t*(T_n).
   std::size_t tStar = 0;
-  /// Distinct (canonical) states memoized.
+  /// One optimal line of play: tStar trees that broadcast exactly in the
+  /// last round. Replaying it on a simulator certifies t* ≥ tStar.
+  std::vector<RootedTree> line;
+  /// Size of the refuted-state memo: distinct (canonical) states the
+  /// search proved cannot survive some number of further moves.
   std::uint64_t statesMemoized = 0;
-  /// Total successor states evaluated (after per-state deduplication).
+  /// Successor states searched (after per-state deduplication).
   std::uint64_t successorsExpanded = 0;
   /// Successors dropped by the row-wise dominance filter.
   std::uint64_t dominatedPruned = 0;
@@ -70,19 +74,14 @@ class ExactSolver {
   /// Row-array encoding limit: 16 rows of 16-bit masks.
   static constexpr std::size_t kMaxN = 16;
 
-  /// Precondition: 2 ≤ n ≤ kMaxN. The exhaustive queries additionally
-  /// require the full move pool to be enumerable (n ≤ 8).
+  /// Precondition: 2 ≤ n ≤ kMaxN. solve() additionally requires the
+  /// full move pool to be enumerable (n ≤ 8).
   explicit ExactSolver(std::size_t n, ExactOptions options = {});
 
-  /// Computes t*(T_n). Requires n ≤ 8 (throws AssertionError beyond);
-  /// memory and time grow steeply — n ≤ 5 runs in well under a second.
+  /// Computes t*(T_n) and one optimal line of play. Requires n ≤ 8
+  /// (throws AssertionError beyond); time grows steeply — n = 5 takes
+  /// milliseconds, n = 6 about half a minute.
   [[nodiscard]] ExactResult solve();
-
-  /// Computes t*(T_n) and extracts one optimal line of play: a concrete
-  /// tree sequence achieving the game value from the identity state.
-  /// The sequence is itself a machine-checkable lower-bound certificate
-  /// (replay it on a simulator and count rounds). Requires n ≤ 8.
-  [[nodiscard]] std::vector<RootedTree> optimalPlay();
 
   /// Searches for a play achieving `targetRounds` and returns the
   /// longest certified play found (its length may fall short of the
@@ -95,18 +94,6 @@ class ExactSolver {
   /// structured beyond.
   [[nodiscard]] std::vector<RootedTree> witnessPlay(
       std::size_t targetRounds, ExactWitnessOptions witnessOptions = {});
-
-  /// Packs a heard-of matrix (row y = Heard(y)) into the historical
-  /// uint64 encoding (n ≤ 8, row y in byte y); exposed for tests.
-  [[nodiscard]] static std::uint64_t encodeIdentity(std::size_t n);
-
-  /// Applies a tree (as a parent array) to an encoded state.
-  [[nodiscard]] static std::uint64_t applyTreeEncoded(
-      std::uint64_t state, const std::vector<std::size_t>& parents);
-
-  /// True when some process is heard by everyone in the encoded state.
-  [[nodiscard]] static bool isBroadcastState(std::uint64_t state,
-                                             std::size_t n);
 
  private:
   std::size_t n_;

@@ -74,14 +74,14 @@ class BeamWitnessAdversary final : public ReplayAdversary {
   BeamConfig config_;
 };
 
-/// "exact": optimal play extracted from the exhaustive solver (n ≤ 8).
+/// "exact": the optimal line of play the exhaustive solver returns (n ≤ 8).
 class ExactReplayAdversary final : public ReplayAdversary {
  public:
   explicit ExactReplayAdversary(std::size_t n) : ReplayAdversary(n, "exact") {}
 
  protected:
   std::vector<RootedTree> computeWitness() override {
-    return ExactSolver(n_).optimalPlay();
+    return ExactSolver(n_).solve().line;
   }
 };
 
@@ -295,7 +295,7 @@ void registerBuiltins(AdversaryRegistry& reg) {
            }});
   reg.add({"exact",
            "optimal play from the exhaustive game solver (n <= 8; "
-           "practical for n <= 5)",
+           "practical for n <= 6, about 30 s at n = 6)",
            {},
            [](std::size_t n, std::uint64_t, const AdversaryParams&) {
              if (n < 2 || n > 8) {

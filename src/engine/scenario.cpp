@@ -151,6 +151,20 @@ void validateScenario(const ScenarioSpec& spec) {
           "from its restricted classes (" + admitted + "); got '" +
           parsed.name + "'");
     }
+    // The claim check holds every row to the scenario's k·n, so a member
+    // from a larger class must not run under it. A broom with handle h
+    // has h inner nodes.
+    if (dynamics.name == "restricted") {
+      const std::string key = parsed.name == "freeze-broom" ? "handle" : "k";
+      const std::uint64_t memberK = parsed.params.getUInt(key, 2);
+      const std::uint64_t k = dynamics.params.getUInt("k", 2);
+      if (memberK > k) {
+        throw std::invalid_argument(
+            "dynamics '" + dynamics.toString() + "' declares k=" +
+            std::to_string(k) + ", so its members need " + key + " <= " +
+            std::to_string(k) + "; got '" + parsed.toString() + "'");
+      }
+    }
   }
 }
 

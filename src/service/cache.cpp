@@ -1,12 +1,11 @@
 #include "src/service/cache.h"
 
-#include <charconv>
 #include <string_view>
-#include <system_error>
 #include <utility>
 
 #include "src/service/protocol.h"
 #include "src/support/file_lock.h"
+#include "src/support/parse_number.h"
 
 namespace dynbcast {
 
@@ -24,18 +23,10 @@ namespace {
   if (s2 == std::string_view::npos) return false;
   const std::string_view roundsText = fields.substr(0, s1);
   const std::string_view completedText = fields.substr(s1 + 1, s2 - s1 - 1);
-  if (roundsText.empty() ||
-      roundsText.find_first_not_of("0123456789") != std::string_view::npos) {
-    return false;
-  }
   if (completedText != "0" && completedText != "1") return false;
-  std::uint64_t rounds = 0;
-  const auto [end, error] = std::from_chars(
-      roundsText.data(), roundsText.data() + roundsText.size(), rounds);
-  if (error != std::errc() || end != roundsText.data() + roundsText.size()) {
-    return false;
-  }
-  value->rounds = static_cast<std::size_t>(rounds);
+  const auto rounds = parseWhole<std::size_t>(roundsText);
+  if (!rounds) return false;
+  value->rounds = *rounds;
   value->completed = completedText == "1";
   *key = fields.substr(s2 + 1);
   return true;

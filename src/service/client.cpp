@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "src/service/job.h"
+#include "src/support/parse_number.h"
 #include "src/support/socket.h"
 
 namespace dynbcast {
@@ -27,11 +28,11 @@ namespace {
 
 [[nodiscard]] std::size_t parseCount(const std::string& line,
                                      const std::string& token) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string::npos) {
+  const auto value = parseWhole<std::size_t>(token);
+  if (!value) {
     throw std::runtime_error("submit: malformed server line '" + line + "'");
   }
-  return static_cast<std::size_t>(std::stoull(token));
+  return *value;
 }
 
 /// "key=value" → value, enforcing the key.

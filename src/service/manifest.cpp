@@ -3,17 +3,16 @@
 #include <stdexcept>
 
 #include "src/support/file_lock.h"
+#include "src/support/parse_number.h"
 
 namespace dynbcast {
 
 namespace {
 
 [[nodiscard]] bool parseSizeT(const std::string& token, std::size_t* out) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  *out = static_cast<std::size_t>(std::stoull(token));
+  const auto value = parseWhole<std::size_t>(token);
+  if (!value) return false;
+  *out = *value;
   return true;
 }
 

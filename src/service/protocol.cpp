@@ -6,6 +6,7 @@
 #include "src/dynamics/registry.h"
 #include "src/engine/task_plan.h"
 #include "src/support/options.h"
+#include "src/support/parse_number.h"
 #include "src/support/spec.h"
 
 namespace dynbcast {
@@ -40,13 +41,10 @@ namespace {
 
 [[nodiscard]] std::uint64_t parseUInt(const std::string& key,
                                       const std::string& value) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument("request key '" + key +
-                                "' expects an unsigned integer, got '" +
-                                value + "'");
-  }
-  return std::stoull(value);
+  if (const auto parsed = parseWhole<std::uint64_t>(value)) return *parsed;
+  throw std::invalid_argument("request key '" + key +
+                              "' expects an unsigned integer, got '" + value +
+                              "'");
 }
 
 /// Spec strings never contain whitespace in canonical form, but raw user

@@ -1,7 +1,6 @@
 #include "src/support/options.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -9,6 +8,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "src/support/parse_number.h"
 #include "src/support/spec.h"
 
 namespace dynbcast {
@@ -59,20 +59,27 @@ std::int64_t Options::getInt(const std::string& key,
                              std::int64_t fallback) const {
   const auto v = get(key);
   if (!v || v->empty()) return fallback;
-  return std::stoll(*v);
+  if (const auto value = parseWhole<std::int64_t>(*v)) return *value;
+  throw std::invalid_argument("--" + key + " expects a whole number, got '" +
+                              *v + "'");
 }
 
 std::uint64_t Options::getUInt(const std::string& key,
                                std::uint64_t fallback) const {
   const auto v = get(key);
   if (!v || v->empty()) return fallback;
-  return std::stoull(*v);
+  if (const auto value = parseWhole<std::uint64_t>(*v)) return *value;
+  throw std::invalid_argument("--" + key +
+                              " expects an unsigned whole number, got '" + *v +
+                              "'");
 }
 
 double Options::getDouble(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v || v->empty()) return fallback;
-  return std::stod(*v);
+  if (const auto value = parseWhole<double>(*v)) return *value;
+  throw std::invalid_argument("--" + key + " expects a number, got '" + *v +
+                              "'");
 }
 
 bool Options::getBool(const std::string& key, bool fallback) const {
@@ -115,16 +122,14 @@ std::vector<std::size_t> parseSizeList(const std::string& spec) {
   // Each token must be a whole number >= 1 with nothing after it: "8x"
   // or "8,,16" fails loudly instead of running a different sweep.
   const auto number = [&spec](std::string_view token) {
-    std::size_t value = 0;
-    const char* end = token.data() + token.size();
-    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-    if (ec != std::errc() || ptr != end || value == 0) {
+    const auto value = parseWhole<std::size_t>(token);
+    if (!value || *value == 0) {
       throw std::invalid_argument(
           "size list '" + spec + "': '" + std::string(token) +
           "' is not a whole number from 1 to " +
           std::to_string(std::numeric_limits<std::size_t>::max()));
     }
-    return value;
+    return *value;
   };
   const std::string_view text = spec;
   std::vector<std::size_t> out;

@@ -26,6 +26,10 @@ class Options {
 
   [[nodiscard]] std::string getString(const std::string& key,
                                       const std::string& fallback) const;
+  /// The numeric getters return `fallback` for an absent or empty value
+  /// and throw std::invalid_argument, naming the flag, unless the whole
+  /// value is the number: "2x" and an out-of-range value fail, and
+  /// getUInt rejects any sign.
   [[nodiscard]] std::int64_t getInt(const std::string& key,
                                     std::int64_t fallback) const;
   [[nodiscard]] std::uint64_t getUInt(const std::string& key,

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/support/parse_number.h"
+
 namespace dynbcast {
 
 namespace {
@@ -71,21 +73,10 @@ std::uint64_t SpecParams::getUInt(const std::string& key,
                                   std::uint64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    // stoull accepts "-1" by wrapping around; require a leading digit so
-    // negative (and "+"-prefixed) input gets the friendly error below.
-    if (it->second.empty() || it->second[0] < '0' || it->second[0] > '9') {
-      throw std::invalid_argument(it->second);
-    }
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(it->second, &used);
-    if (used != it->second.size()) throw std::invalid_argument(it->second);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(errorLabel() + " '" + key +
-                                "' expects an unsigned integer, got '" +
-                                it->second + "'");
-  }
+  if (const auto value = parseWhole<std::uint64_t>(it->second)) return *value;
+  throw std::invalid_argument(errorLabel() + " '" + key +
+                              "' expects an unsigned integer, got '" +
+                              it->second + "'");
 }
 
 double SpecParams::getDouble(const std::string& key, double fallback) const {

@@ -11,51 +11,16 @@
 namespace dynbcast {
 namespace {
 
-TEST(EncodingTest, IdentityEncodesDiagonal) {
-  const std::uint64_t s = ExactSolver::encodeIdentity(4);
-  for (std::size_t y = 0; y < 4; ++y) {
-    const std::uint64_t row = (s >> (y * 8)) & 0xFF;
-    EXPECT_EQ(row, std::uint64_t{1} << y);
-  }
-}
-
-TEST(EncodingTest, ApplyTreeMatchesRecurrence) {
-  // Path 0→1→2 on the identity: heard(1) gains 0, heard(2) gains 1.
-  const std::uint64_t s0 = ExactSolver::encodeIdentity(3);
-  const std::uint64_t s1 = ExactSolver::applyTreeEncoded(s0, {0, 0, 1});
-  EXPECT_EQ((s1 >> 0) & 0xFF, 0b001u);   // heard(0) = {0}
-  EXPECT_EQ((s1 >> 8) & 0xFF, 0b011u);   // heard(1) = {0,1}
-  EXPECT_EQ((s1 >> 16) & 0xFF, 0b110u);  // heard(2) = {1,2}
-}
-
-TEST(EncodingTest, BroadcastDetection) {
-  // Make node 2 heard by everyone on n = 3.
-  std::uint64_t s = ExactSolver::encodeIdentity(3);
-  s |= (std::uint64_t{1} << 2) << 0;
-  s |= (std::uint64_t{1} << 2) << 8;
-  EXPECT_TRUE(ExactSolver::isBroadcastState(s, 3));
-  EXPECT_FALSE(
-      ExactSolver::isBroadcastState(ExactSolver::encodeIdentity(3), 3));
-}
-
-TEST(EncodingTest, SingleStarRoundIsBroadcast) {
-  const std::uint64_t s0 = ExactSolver::encodeIdentity(4);
-  // Star centered at 1.
-  const std::uint64_t s1 = ExactSolver::applyTreeEncoded(s0, {1, 1, 1, 1});
-  EXPECT_TRUE(ExactSolver::isBroadcastState(s1, 4));
-}
-
 TEST(ExactSolverTest, RejectsOutOfRangeN) {
   EXPECT_THROW(ExactSolver(1), AssertionError);
   EXPECT_THROW(ExactSolver(17), AssertionError);
 }
 
 TEST(ExactSolverTest, ExhaustiveQueriesRejectInfeasiblePool) {
-  // n = 9 is constructible (row-array encoding), but the exhaustive
-  // queries need the full 9^8 = 43M move pool — only witnessPlay works.
+  // n = 9 is constructible (row-array encoding), but solve() needs the
+  // full 9^8 = 43M move pool — only witnessPlay works.
   ExactSolver solver(9);
   EXPECT_THROW((void)solver.solve(), AssertionError);
-  EXPECT_THROW((void)solver.optimalPlay(), AssertionError);
 }
 
 TEST(ExactSolverTest, N2IsOneRound) {
@@ -92,29 +57,31 @@ TEST_P(ExactBoundsTest, ValueRespectsTheorem31) {
   EXPECT_GE(r.tStar, n - 1) << "n=" << n;
 }
 
-INSTANTIATE_TEST_SUITE_P(SmallN, ExactBoundsTest, ::testing::Values(2, 3, 4));
+INSTANTIATE_TEST_SUITE_P(SmallN, ExactBoundsTest,
+                         ::testing::Values(2, 3, 4, 5));
 
-TEST(OptimalPlayTest, SequenceAchievesGameValueOnSimulator) {
-  // The extracted optimal line of play is a machine-checkable
-  // certificate: replaying it reaches broadcast exactly at t*(T_n).
+TEST(ExactSolverTest, SolveFindsTheKnownValuesAndALineThatReplays) {
+  // The values are constants, not the bound formula: solve() deepens
+  // from the static path and never reads lowerBound(n). Its line is a
+  // machine-checkable certificate: replaying it on the simulator
+  // reaches broadcast exactly at t*(T_n).
+  const std::size_t known[] = {1, 2, 4, 5};
   for (const std::size_t n : {2u, 3u, 4u, 5u}) {
-    ExactSolver solver(n);
-    const ExactResult exact = solver.solve();
-    const std::vector<RootedTree> play = solver.optimalPlay();
-    EXPECT_EQ(play.size(), exact.tStar) << "n=" << n;
+    const ExactResult exact = ExactSolver(n).solve();
+    EXPECT_EQ(exact.tStar, known[n - 2]) << "n=" << n;
+    EXPECT_EQ(exact.line.size(), exact.tStar) << "n=" << n;
     BroadcastSim sim(n);
-    for (std::size_t r = 0; r < play.size(); ++r) {
+    for (std::size_t r = 0; r < exact.line.size(); ++r) {
       EXPECT_FALSE(sim.broadcastDone())
           << "broadcast before the sequence ended, n=" << n;
-      sim.applyTree(play[r]);
+      sim.applyTree(exact.line[r]);
     }
     EXPECT_TRUE(sim.broadcastDone()) << "n=" << n;
   }
 }
 
 TEST(OptimalPlayTest, AllMovesAreValidTrees) {
-  ExactSolver solver(4);
-  for (const RootedTree& t : solver.optimalPlay()) {
+  for (const RootedTree& t : ExactSolver(4).solve().line) {
     EXPECT_EQ(t.size(), 4u);
     EXPECT_TRUE(isRootedTreeWithSelfLoops(t.toMatrix()));
   }
@@ -155,8 +122,8 @@ TEST(WitnessPlayTest, CertifiesLowerBoundAtN8) {
 }
 
 TEST(WitnessPlayTest, CertifiesLowerBoundAtN9) {
-  // Past the packed-uint64 / exhaustive-pool ceiling: the structured
-  // branching pool certifies t*(T_9) >= ⌈26/2⌉−2 = 11.
+  // Past the complete-pool ceiling: the structured branching pool
+  // certifies t*(T_9) >= ⌈26/2⌉−2 = 11.
   const std::vector<RootedTree> play =
       ExactSolver(9).witnessPlay(bounds::lowerBound(9));
   EXPECT_EQ(play.size(), bounds::lowerBound(9));  // = 11
@@ -208,13 +175,6 @@ TEST(WitnessPlayTest, ABudgetSpentOnTheTopTargetLeavesTheStaticFloor) {
 
 TEST(WitnessPlayTest, ZeroTargetIsEmpty) {
   EXPECT_TRUE(ExactSolver(5).witnessPlay(0).empty());
-}
-
-TEST(ExactSolverTest, DepthCapViolationThrows) {
-  // A depth cap of 1 is impossible for n = 3 (t* > 1), so the safety net
-  // must fire rather than return a wrong value.
-  ExactSolver solver(3, {.canonicalize = true, .depthCap = 1});
-  EXPECT_THROW((void)solver.solve(), AssertionError);
 }
 
 }  // namespace

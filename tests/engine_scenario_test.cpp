@@ -143,6 +143,7 @@ TEST(ScenarioTest, RestrictedDynamicsValidatesTheClass) {
   scenario.adversaries = {"greedy-delay"};
   EXPECT_THROW((void)runScenario(scenario, engine), std::invalid_argument);
 
+  scenario.dynamics = "restricted:k=4";
   scenario.adversaries = {"k-leaf:k=3", "k-inner:k=3",
                           "freeze-broom:handle=4"};
   const ScenarioResult result = runScenario(scenario, engine);
@@ -152,6 +153,26 @@ TEST(ScenarioTest, RestrictedDynamicsValidatesTheClass) {
     // Everything in the restricted classes obeys the O(kn) bound of [14].
     EXPECT_LE(row.rounds, bounds::kLeafUpper(12, 4)) << row.member;
   }
+}
+
+TEST(ScenarioTest, RestrictedMembersMustFitTheScenarioK) {
+  // Under restricted:k=2 every row is held to 2n, so a k=8 member (or a
+  // broom whose handle, its inner-node count, exceeds 2) is rejected
+  // instead of being checked against the wrong bound.
+  ScenarioSpec scenario;
+  scenario.dynamics = "restricted:k=2";
+  scenario.sizes = {12};
+  for (const std::string member :
+       {"k-leaf:k=8", "k-inner:k=3", "freeze-broom:handle=3"}) {
+    scenario.adversaries = {member};
+    EXPECT_THROW(validateScenario(scenario), std::invalid_argument) << member;
+  }
+  scenario.adversaries = {"k-leaf:k=2", "k-inner:k=1", "freeze-broom:handle=2"};
+  EXPECT_NO_THROW(validateScenario(scenario));
+  // The defaults of both specs are k = 2, so bare names fit.
+  scenario.dynamics = "restricted";
+  scenario.adversaries = {"k-leaf", "freeze-broom"};
+  EXPECT_NO_THROW(validateScenario(scenario));
 }
 
 TEST(ScenarioTest, RestrictedClassParamsNarrowTheDefaultMembers) {

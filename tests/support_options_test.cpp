@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 namespace dynbcast {
@@ -57,6 +59,38 @@ TEST(OptionsTest, PositionalCollected) {
 TEST(OptionsTest, ProgramNameKept) {
   const Options o = parse({});
   EXPECT_EQ(o.programName(), "prog");
+}
+
+TEST(OptionsTest, NumericFlagsTakeTheWholeValue) {
+  EXPECT_EQ(parse({"--seeds=18446744073709551615"}).getUInt("seeds", 1),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse({"--d=-7"}).getInt("d", 0), -7);
+  EXPECT_DOUBLE_EQ(parse({"--p=2.5e-1"}).getDouble("p", 0.0), 0.25);
+  // A numeric prefix, a sign on an unsigned flag, spaces and overflow
+  // are all errors, never a different number.
+  for (const char* bad : {"--seeds=2x", "--seeds=abc", "--seeds=-1",
+                          "--seeds=+1", "--seeds= 2",
+                          "--seeds=18446744073709551616"}) {
+    EXPECT_THROW((void)parse({bad}).getUInt("seeds", 1), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW((void)parse({"--d=5x"}).getInt("d", 0), std::invalid_argument);
+  EXPECT_THROW((void)parse({"--d=9223372036854775808"}).getInt("d", 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"--p=0.5x"}).getDouble("p", 0.0),
+               std::invalid_argument);
+}
+
+TEST(OptionsTest, NumericErrorsNameTheFlag) {
+  try {
+    (void)parse({"--jobs=-1"}).getUInt("jobs", 1);
+    FAIL() << "--jobs=-1 must not parse";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("'-1'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ParseSizeListTest, CommaList) {

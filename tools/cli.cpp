@@ -24,6 +24,7 @@
 #include "src/service/server.h"
 #include "src/service/worker.h"
 #include "src/support/options.h"
+#include "src/support/parse_number.h"
 #include "src/support/table.h"
 
 namespace dynbcast::cli {
@@ -647,12 +648,16 @@ int runWork(int argc, const char* const* argv) {
     const std::string range = opts.getString("range", "");
     if (!range.empty()) {
       const std::size_t colon = range.find(':');
-      if (colon == std::string::npos) {
+      const auto begin = parseWhole<std::size_t>(range.substr(0, colon));
+      const auto end = colon == std::string::npos
+                           ? std::nullopt
+                           : parseWhole<std::size_t>(range.substr(colon + 1));
+      if (!begin || !end) {
         throw std::invalid_argument("work: --range expects BEGIN:END, got '" +
                                     range + "'");
       }
-      work.rangeBegin = std::stoull(range.substr(0, colon));
-      work.rangeEnd = std::stoull(range.substr(colon + 1));
+      work.rangeBegin = *begin;
+      work.rangeEnd = *end;
     }
     opts.rejectUnread();
     if (work.manifestPath.empty()) {
