@@ -26,7 +26,8 @@ the comparison direction is inferred from the key.
 
 Runner CPUs vary, so kernel throughput baselines carry generous
 tolerances; the ratio metrics (batch_round_speedup, batch_sweep_speedup,
-product_blocked_speedup) are machine-relative and carry tight ones. A
+product_blocked_speedup, damage_tree_speedup) are machine-relative and
+carry tighter ones. A
 commit whose message
 contains [bench-skip] bypasses the gate entirely (CI wires that up).
 """
@@ -61,6 +62,12 @@ DEFAULT_GATES = {
     "sweep:beam_rounds": 10.0,
     "sweep:transposition_hit_rate": 25.0,
     "sweep:lookahead_tt_hit_rate": 25.0,
+    # DamageCache's whole-row trees against the pairwise reference on
+    # the same recorded greedy-delay states. Machine-relative, but the
+    # SIMD tier a runner dispatches to moves it (~4.5x AVX-512, ~2.5x
+    # AVX2, ~1.3x scalar on one host), so the slack admits AVX2 runners
+    # and still fails when the rows stop vectorizing.
+    "sweep:damage_tree_speedup": 60.0,
     # Experiment-service throughput: the warm pass re-runs the same specs
     # against a populated result cache, so the ratio is machine-relative
     # and collapses toward 1 if the cache pre-pass stops short-circuiting
@@ -87,7 +94,9 @@ def flatten(kernels_doc, sweep_doc):
                   "beam_arena_peak_nodes", "beam_ms", "lookahead_nodes",
                   "lookahead_tt_hit_rate", "service_cold_ms",
                   "service_warm_ms", "service_cold_specs_per_s",
-                  "service_warm_specs_per_s", "service_warm_speedup"):
+                  "service_warm_specs_per_s", "service_warm_speedup",
+                  "damage_tree_row_ms", "damage_tree_pairwise_ms",
+                  "damage_tree_speedup"):
         if field in sweep_doc:
             out["sweep:" + field] = sweep_doc[field]
     return out

@@ -20,13 +20,15 @@
 #include "src/support/table.h"
 #include "src/tree/enumerate.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, const char* const* argv) {
   using namespace dynbcast;
   const Options opts(argc, argv);
   const std::size_t maxN = opts.getUInt("maxn", 5);
   const bool heuristics = opts.getBool("heuristics", true);
   const std::size_t witnessMaxN = opts.getUInt("witness-maxn", 9);
-  opts.rejectUnreadOrExit();
+  opts.rejectUnread();
 
   std::cout << "EXACT — exhaustive game value of t*(T_n) for small n\n\n";
 
@@ -83,4 +85,10 @@ int main(int argc, char** argv) {
                "length, so 'certified rounds' = target means t*(T_n) >= "
                "the [14] lower bound is witnessed, not just argued.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dynbcast::guardedMain(argc, argv, run);
 }

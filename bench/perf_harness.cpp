@@ -10,7 +10,8 @@
 //   BENCH_kernels.json — per-kernel ns/op and GiB/s
 //   BENCH_sweep.json   — sweep wall times, one-game times of the two
 //                        hottest search adversaries (greedy-delay and
-//                        local-search at n=128), the batch speedup
+//                        local-search at n=128), DamageCache's row trees
+//                        against a pairwise reference, the batch speedup
 //                        factors, and search-core telemetry
 //
 // CI's bench-smoke job runs `perf_harness --quick --csv=...`, uploads the
@@ -349,6 +350,152 @@ AdversaryGameTiming timeAdversaryGames(std::uint64_t seed) {
   return t;
 }
 
+/// The pairwise damage-greedy tree that DamageCache's row design
+/// replaced, kept as its reference and A/B partner: damage(p, y) is a
+/// scalar ascending-x sum over heard[p] \ heard[y], memoized per bind so
+/// the bind's roots share it, and every Prim step scans all n nodes
+/// twice. Its trees must equal DamageCache's.
+class PairwiseDamageTrees {
+ public:
+  void bind(const std::vector<DynBitset>& heard,
+            const std::vector<std::size_t>& coverage) {
+    const std::size_t n = heard.size();
+    heard_ = &heard;
+    weight_.resize(n);
+    for (std::size_t x = 0; x < n; ++x) {
+      weight_[x] =
+          potentialTerm(coverage[x]) * (coverage[x] + 1 >= n ? 1e6 : 1.0);
+    }
+    value_.resize(n * n);
+    known_.assign(n * n, 0);
+  }
+
+  [[nodiscard]] RootedTree tree(std::size_t root) {
+    const std::size_t n = heard_->size();
+    std::vector<std::size_t> parent(n, root);
+    std::vector<double> bestCost(n, 0.0);
+    std::vector<std::uint8_t> attached(n, 0);
+    attached[root] = 1;
+    for (std::size_t y = 0; y < n; ++y) {
+      if (y != root) bestCost[y] = damage(root, y);
+    }
+    for (std::size_t step = 1; step < n; ++step) {
+      std::size_t pick = n;
+      for (std::size_t y = 0; y < n; ++y) {
+        if (attached[y] == 0 && (pick == n || bestCost[y] < bestCost[pick])) {
+          pick = y;
+        }
+      }
+      attached[pick] = 1;
+      for (std::size_t y = 0; y < n; ++y) {
+        if (attached[y] == 0) {
+          const double c = damage(pick, y);
+          if (c < bestCost[y]) {
+            bestCost[y] = c;
+            parent[y] = pick;
+          }
+        }
+      }
+    }
+    return RootedTree(root, std::move(parent));
+  }
+
+ private:
+  double damage(std::size_t p, std::size_t y) {
+    const std::size_t n = heard_->size();
+    const std::size_t at = p * n + y;
+    if (known_[at] == 0) {
+      double d = 0.0;
+      bitword::forEachInDifference((*heard_)[p].wordData(),
+                                   (*heard_)[y].wordData(),
+                                   (*heard_)[p].wordCount(),
+                                   [&](std::size_t x) { d += weight_[x]; });
+      value_[at] = d;
+      known_[at] = 1;
+    }
+    return value_[at];
+  }
+
+  const std::vector<DynBitset>* heard_ = nullptr;
+  std::vector<double> weight_;
+  std::vector<double> value_;
+  std::vector<std::uint8_t> known_;
+};
+
+/// DamageCache against PairwiseDamageTrees over the states of one
+/// greedy-delay game at n = 128: per state one bind and three trees,
+/// rooted as greedy-delay roots them (lowest coverage, most heard, one
+/// random). Each side's time is its fastest pass over all states, with
+/// the passes alternated until both have run for minSeconds.
+struct DamageTreeTiming {
+  std::size_t n = 128;
+  std::size_t states = 0;
+  double rowMs = 0.0;
+  double pairwiseMs = 0.0;
+};
+
+DamageTreeTiming timeDamageTrees(std::uint64_t seed, double minSeconds) {
+  DamageTreeTiming t;
+  struct State {
+    std::vector<DynBitset> heard;
+    std::vector<std::size_t> coverage;
+    std::size_t roots[3];
+  };
+  std::vector<State> states;
+  {
+    GreedyDelayAdversary adversary(t.n, seed);
+    BroadcastSim sim(t.n);
+    Rng rootRng(seed ^ 0xda3aull);
+    while (!sim.broadcastDone()) {
+      State s{sim.heardMatrix(), coverageCounts(sim), {}};
+      s.roots[0] = static_cast<std::size_t>(
+          std::min_element(s.coverage.begin(), s.coverage.end()) -
+          s.coverage.begin());
+      s.roots[1] = 0;
+      for (std::size_t y = 1; y < t.n; ++y) {
+        if (sim.heardCount(y) > sim.heardCount(s.roots[1])) s.roots[1] = y;
+      }
+      s.roots[2] = rootRng.uniform(t.n);
+      states.push_back(std::move(s));
+      sim.applyTree(adversary.nextTree(sim));
+    }
+  }
+  t.states = states.size();
+
+  DamageCache rows;
+  PairwiseDamageTrees pairwise;
+  std::vector<RootedTree> expected;
+  const auto pass = [&](auto& builder, bool record) {
+    const auto start = Clock::now();
+    std::size_t i = 0;
+    for (const State& s : states) {
+      builder.bind(s.heard, s.coverage);
+      for (const std::size_t root : s.roots) {
+        RootedTree tree = builder.tree(root);
+        if (record) {
+          expected.push_back(std::move(tree));
+        } else if (!(tree == expected[i])) {
+          std::cerr << "FATAL: damage trees diverged from the pairwise "
+                       "reference\n";
+          std::exit(1);
+        } else {
+          consume(tree.height());
+        }
+        ++i;
+      }
+    }
+    return secondsSince(start) * 1e3;
+  };
+  t.pairwiseMs = pass(pairwise, true);
+  t.rowMs = pass(rows, false);
+  const auto start = Clock::now();
+  while (secondsSince(start) < 2 * minSeconds) {
+    t.pairwiseMs = std::min(t.pairwiseMs, pass(pairwise, false));
+    t.rowMs = std::min(t.rowMs, pass(rows, false));
+  }
+  return t;
+}
+
 /// Batched vs scalar end-to-end engine sweep: the same 8 replicates of
 /// three oblivious members at one n, once with batch=off and once with
 /// batch=8, at jobs=1 so the ratio isolates batching from thread-pool
@@ -525,6 +672,7 @@ void writeSweepJson(const std::string& path, std::size_t n,
                     std::uint64_t seed, bool quick, double portfolioMs,
                     std::size_t bestRounds,
                     const AdversaryGameTiming& games,
+                    const DamageTreeTiming& damageTrees,
                     double batchRoundSpeedup,
                     const BatchSweepTiming& batchSweep,
                     double productSpeedup, std::size_t productN,
@@ -546,6 +694,13 @@ void writeSweepJson(const std::string& path, std::size_t n,
   std::fprintf(f, "  \"adversary_game_n\": %zu,\n", games.n);
   std::fprintf(f, "  \"greedy_delay_ms\": %.3f,\n", games.greedyDelayMs);
   std::fprintf(f, "  \"local_search_ms\": %.3f,\n", games.localSearchMs);
+  std::fprintf(f, "  \"damage_tree_n\": %zu,\n", damageTrees.n);
+  std::fprintf(f, "  \"damage_tree_states\": %zu,\n", damageTrees.states);
+  std::fprintf(f, "  \"damage_tree_row_ms\": %.3f,\n", damageTrees.rowMs);
+  std::fprintf(f, "  \"damage_tree_pairwise_ms\": %.3f,\n",
+               damageTrees.pairwiseMs);
+  std::fprintf(f, "  \"damage_tree_speedup\": %.4f,\n",
+               damageTrees.pairwiseMs / damageTrees.rowMs);
   std::fprintf(f, "  \"batch_width\": %zu,\n", kBatchBenchWidth);
   std::fprintf(f, "  \"batch_round_speedup\": %.4f,\n", batchRoundSpeedup);
   std::fprintf(f, "  \"batch_scalar_ms\": %.3f,\n", batchSweep.scalarMs);
@@ -603,18 +758,14 @@ void writeSweepJson(const std::string& path, std::size_t n,
   std::cout << "wrote " << path << '\n';
 }
 
-}  // namespace
-}  // namespace dynbcast
-
-int main(int argc, char** argv) {
-  using namespace dynbcast;
+int run(int argc, const char* const* argv) {
   BenchDriver driver(argc, argv, "256", 1);
   const bool quick = driver.options().getBool("quick", false);
   const std::string outDir = driver.options().getString("out", ".");
   const std::size_t sweepN =
       driver.options().getUInt("sweep-n", quick ? 96 : 256);
   const double minSeconds = quick ? 0.05 : 0.25;
-  driver.options().rejectUnreadOrExit();  // e.g. --help: fail, don't run
+  driver.options().rejectUnread();  // e.g. --help: fail, don't run
 
   driver.printHeader("PERF — kernel throughput + portfolio sweep telemetry");
   std::cout << "simd dispatch: "
@@ -674,6 +825,8 @@ int main(int argc, char** argv) {
       .add(batchSweep.scalarMs, 1)
       .add(batchSweep.batchedMs, 1)
       .add(batchSweep.scalarMs / batchSweep.batchedMs, 2);
+  const DamageTreeTiming damageTrees =
+      timeDamageTrees(driver.seed(), minSeconds);
   TextTable gameTable({"adversary game", "n", "ms"});
   gameTable.row()
       .add(std::string("greedy-delay"))
@@ -683,6 +836,15 @@ int main(int argc, char** argv) {
       .add(std::string("local-search"))
       .add(static_cast<std::uint64_t>(games.n))
       .add(games.localSearchMs, 1);
+  TextTable damageTable(
+      {"damage trees", "n", "states", "rows ms", "pairwise ms", "speedup"});
+  damageTable.row()
+      .add(std::string("bind + 3 roots"))
+      .add(static_cast<std::uint64_t>(damageTrees.n))
+      .add(static_cast<std::uint64_t>(damageTrees.states))
+      .add(damageTrees.rowMs, 2)
+      .add(damageTrees.pairwiseMs, 2)
+      .add(damageTrees.pairwiseMs / damageTrees.rowMs, 2);
 
   // --- search core: beam witness + lookahead transposition telemetry -
   const SearchTelemetry search = timeSearchTelemetry(driver.seed());
@@ -730,6 +892,7 @@ int main(int argc, char** argv) {
   driver.emit(kernelTable);
   std::cout << '\n' << sweepTable.render() << '\n';
   std::cout << '\n' << gameTable.render() << '\n';
+  std::cout << '\n' << damageTable.render() << '\n';
   std::cout << '\n' << searchTable.render() << '\n';
   std::cout << '\n' << serviceTable.render() << '\n';
   std::cout << '\n' << frontierTable.render() << '\n';
@@ -737,7 +900,15 @@ int main(int argc, char** argv) {
   writeKernelsJson(outDir + "/BENCH_kernels.json", kernels, quick,
                    driver.jobs());
   writeSweepJson(outDir + "/BENCH_sweep.json", sweepN, driver.seed(), quick,
-                 portfolioMs, bestRounds, games, batchRoundSpeedup, batchSweep,
+                 portfolioMs, bestRounds, games, damageTrees,
+                 batchRoundSpeedup, batchSweep,
                  productSpeedup, productN, frontier, search, service);
   return 0;
+}
+
+}  // namespace
+}  // namespace dynbcast
+
+int main(int argc, char** argv) {
+  return dynbcast::guardedMain(argc, argv, dynbcast::run);
 }

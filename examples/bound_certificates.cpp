@@ -13,14 +13,16 @@
 #include "src/sim/trace.h"
 #include "src/support/options.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, const char* const* argv) {
   using namespace dynbcast;
   const Options opts(argc, argv);
   const std::size_t n = opts.getUInt("n", 24);
   const std::uint64_t seed = opts.getUInt("seed", 5);
   const bool wantOut = opts.has("out");
   const std::string outPath = opts.getString("out", "certificate.csv");
-  opts.rejectUnreadOrExit();
+  opts.rejectUnread();
 
   std::cout << "certifying a lower-bound witness at n = " << n << "\n\n";
 
@@ -53,4 +55,10 @@ int main(int argc, char** argv) {
     std::cout << "trace exported for external audit\n";
   }
   return replayed == trace.roundCount() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dynbcast::guardedMain(argc, argv, run);
 }

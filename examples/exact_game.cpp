@@ -10,11 +10,13 @@
 #include "src/support/options.h"
 #include "src/tree/enumerate.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, const char* const* argv) {
   using namespace dynbcast;
   const Options opts(argc, argv);
   const std::size_t n = opts.getUInt("n", 4);
-  opts.rejectUnreadOrExit();
+  opts.rejectUnread();
   if (n < 2 || n > 6) {
     std::cout << "exact solving is practical for 2 <= n <= 6 (got " << n
               << ")\n";
@@ -50,4 +52,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dynbcast::guardedMain(argc, argv, run);
 }

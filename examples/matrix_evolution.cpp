@@ -12,7 +12,9 @@
 #include "src/analysis/render.h"
 #include "src/support/options.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, const char* const* argv) {
   using namespace dynbcast;
   const Options opts(argc, argv);
   const std::size_t n = opts.getUInt("n", 12);
@@ -20,7 +22,7 @@ int main(int argc, char** argv) {
   const bool render = opts.getBool("render", true);
   const bool wantCsv = opts.has("csv");
   const std::string csvPath = opts.getString("csv", "evolution.csv");
-  opts.rejectUnreadOrExit();
+  opts.rejectUnread();
 
   std::cout << "matrix evolution under greedy-delay, n = " << n << "\n\n";
 
@@ -67,4 +69,10 @@ int main(int argc, char** argv) {
     std::cout << "wrote per-round metrics CSV\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dynbcast::guardedMain(argc, argv, run);
 }

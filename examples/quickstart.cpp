@@ -10,7 +10,6 @@
 // DynamicsRegistry graph model (try "edge-markovian:p=0.2,q=0.1" or
 // "t-interval:T=4" — under a graph model the adversary has no move, so
 // --adversary is ignored). `dynbcast list` prints both menus.
-#include <exception>
 #include <iostream>
 #include <memory>
 
@@ -21,7 +20,7 @@
 
 namespace {
 
-int run(int argc, char** argv) {
+int run(int argc, const char* const* argv) {
   using namespace dynbcast;
   const Options opts(argc, argv);
   const std::size_t n = opts.getUInt("n", 16);
@@ -97,10 +96,5 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   // Bad spec strings throw std::invalid_argument with a registry
   // suggestion; surface them as a friendly error, not a terminate().
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "quickstart: " << e.what() << '\n';
-    return 2;
-  }
+  return dynbcast::guardedMain(argc, argv, run);
 }

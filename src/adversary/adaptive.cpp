@@ -1,6 +1,7 @@
 #include "src/adversary/adaptive.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "src/support/assert.h"
@@ -14,9 +15,8 @@ std::vector<std::size_t> coverageCounts(const BroadcastSim& state) {
   std::vector<std::size_t> coverage(n, 0);
   for (std::size_t y = 0; y < n; ++y) {
     const DynBitset& h = state.heardBy(y);
-    for (std::size_t x = h.findFirst(); x < n; x = h.findNext(x + 1)) {
-      ++coverage[x];
-    }
+    bitword::forEachSetBit(h.wordData(), h.wordCount(),
+                           [&](std::size_t x) { ++coverage[x]; });
   }
   return coverage;
 }
@@ -187,21 +187,26 @@ void DamageCache::bindWeights(const std::vector<DynBitset>& heard,
   DYNBCAST_ASSERT(n > 0 && coverage.size() == n);
   if (n != n_) {
     n_ = n;
+    nwords_ = heard[0].wordCount();
+    stride_ = (n + bitword::kMaskedSumLanes - 1) / bitword::kMaskedSumLanes *
+              bitword::kMaskedSumLanes;
     weight_.resize(n);
-    value_.resize(n * n);
-    stamp_.assign(n * n, 0);
+    knowers_.resize(n * nwords_);
+    rows_.resize(n * stride_);
+    rowStamp_.assign(n, 0);
+    knowersStamp_ = 0;
     bestCost_.resize(n);
-    attached_.resize(n);
+    unattached_.reserve(n);
     generation_ = 0;
   }
-  // A new generation invalidates every memoized entry at once; on the
-  // (4-billion-bind) wrap-around the stamps are cleared for real.
+  // A new generation invalidates every row and the knower matrix at
+  // once; on the (4-billion-bind) wrap-around the stamps are cleared.
   if (++generation_ == 0) {
-    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    std::fill(rowStamp_.begin(), rowStamp_.end(), 0u);
+    knowersStamp_ = 0;
     generation_ = 1;
   }
   heard_ = &heard;
-  nwords_ = heard[0].wordCount();
   for (std::size_t x = 0; x < n; ++x) {
     weight_[x] =
         potentialTerm(coverage[x]) * (coverage[x] + 1 >= n ? 1e6 : 1.0);
@@ -211,54 +216,62 @@ void DamageCache::bindWeights(const std::vector<DynBitset>& heard,
   }
 }
 
-double DamageCache::damage(std::size_t p, std::size_t y) {
-  const std::size_t at = p * n_ + y;
-  if (stamp_[at] != generation_) {
-    // Ascending-x accumulation straight off the raw words: the summation
-    // order, and so every rounding, is the same for every caller.
-    double d = 0.0;
-    bitword::forEachInDifference((*heard_)[p].wordData(),
-                                 (*heard_)[y].wordData(), nwords_,
-                                 [&](std::size_t x) { d += weight_[x]; });
-    value_[at] = d;
-    stamp_[at] = generation_;
+const double* DamageCache::row(std::size_t p) {
+  double* out = rows_.data() + p * stride_;
+  if (rowStamp_[p] != generation_) {
+    bitword::maskedWeightSum(out, stride_, (*heard_)[p].wordData(), nwords_,
+                             knowers_.data(), nwords_, weight_.data());
+    rowStamp_[p] = generation_;
   }
-  return value_[at];
+  return out;
 }
 
 RootedTree DamageCache::tree(std::size_t root) {
   DYNBCAST_ASSERT(heard_ != nullptr && root < n_);
   const std::size_t n = n_;
+  if (knowersStamp_ != generation_) {
+    // First tree since the bind: transpose heard into K[x] = {y : x ∈
+    // heard[y]}, the rows' mask matrix.
+    std::fill(knowers_.begin(), knowers_.end(), std::uint64_t{0});
+    for (std::size_t y = 0; y < n; ++y) {
+      const std::uint64_t bit = std::uint64_t{1} << (y % 64);
+      std::uint64_t* column = knowers_.data() + y / 64;
+      bitword::forEachSetBit(
+          (*heard_)[y].wordData(), nwords_,
+          [&](std::size_t x) { column[x * nwords_] |= bit; });
+    }
+    knowersStamp_ = generation_;
+  }
   // Prim's algorithm over the complete damage graph: heard sets are
-  // start-of-round snapshots, so edge costs never change mid-build.
-  std::vector<std::size_t> parent(n, n);
-  std::fill(attached_.begin(), attached_.end(), std::uint8_t{0});
-  parent[root] = root;
-  attached_[root] = 1;
+  // start-of-round snapshots, so edge costs never change mid-build. Each
+  // pass takes the last pick's row, lowers the unattached nodes' costs
+  // and finds the next pick; +inf makes the root's pass an assignment.
+  std::vector<std::size_t> parent(n, root);
+  unattached_.clear();
   for (std::size_t y = 0; y < n; ++y) {
     if (y != root) {
-      parent[y] = root;
-      bestCost_[y] = damage(root, y);
+      unattached_.push_back(y);
+      bestCost_[y] = std::numeric_limits<double>::infinity();
     }
   }
-  for (std::size_t step = 1; step < n; ++step) {
-    std::size_t pick = n;
-    for (std::size_t y = 0; y < n; ++y) {
-      if (attached_[y] == 0 &&
-          (pick == n || bestCost_[y] < bestCost_[pick])) {
-        pick = y;
+  std::size_t pick = root;
+  while (!unattached_.empty()) {
+    const double* damage = row(pick);
+    std::size_t next = 0;
+    double nextCost = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < unattached_.size(); ++i) {
+      const std::size_t y = unattached_[i];
+      if (damage[y] < bestCost_[y]) {
+        bestCost_[y] = damage[y];
+        parent[y] = pick;
+      }
+      if (bestCost_[y] < nextCost) {
+        next = i;
+        nextCost = bestCost_[y];
       }
     }
-    attached_[pick] = 1;
-    for (std::size_t y = 0; y < n; ++y) {
-      if (attached_[y] == 0) {
-        const double c = damage(pick, y);
-        if (c < bestCost_[y]) {
-          bestCost_[y] = c;
-          parent[y] = pick;
-        }
-      }
-    }
+    pick = unattached_[next];
+    unattached_.erase(unattached_.begin() + static_cast<std::ptrdiff_t>(next));
   }
   return RootedTree(root, std::move(parent));
 }
@@ -334,12 +347,23 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
 
   // Candidate orders (paths); trees that are not plain paths are kept in
   // a separate list so the winning PATH can seed next round's stability.
+  // The top-d leaders are a prefix of the top-dMax leaders (one strict
+  // order), so one partial sort serves every depth and the broom.
+  const std::size_t depthMax = std::min(config_.freezeDepthMax, n_);
+  const std::vector<std::size_t> leaders =
+      topLeaders(coverage, std::max<std::size_t>(depthMax, 1));
   std::vector<std::vector<std::size_t>> orders;
   if (config_.includePrevious) {
     orders.push_back(order_);
   }
-  for (std::size_t d = 1; d <= config_.freezeDepthMax && d <= n_; ++d) {
-    orders.push_back(freezeOrdering(state, topLeaders(coverage, d), order_));
+  const std::size_t depthOneAt = orders.size();
+  for (std::size_t d = 1; d <= depthMax; ++d) {
+    orders.push_back(freezeOrdering(
+        state,
+        std::vector<std::size_t>(leaders.begin(),
+                                 leaders.begin() +
+                                     static_cast<std::ptrdiff_t>(d)),
+        order_));
   }
   if (config_.includeRotations && n_ >= 2) {
     std::vector<std::size_t> headToTail(order_.begin() + 1, order_.end());
@@ -359,11 +383,13 @@ RootedTree GreedyDelayAdversary::nextTree(const BroadcastSim& state) {
 
   std::vector<RootedTree> extraTrees;
   if (config_.includeBrooms && n_ >= 3) {
-    // Broom over the primary freeze order: the knower block becomes the
-    // bristles (they receive but feed nobody).
-    const std::vector<std::size_t> freezeOrder =
-        freezeOrdering(state, topLeaders(coverage, 1), order_);
-    const std::size_t leader = topLeaders(coverage, 1).front();
+    // Broom over the primary (depth-1) freeze order: the knower block
+    // becomes the bristles (they receive but feed nobody).
+    const std::size_t leader = leaders.front();
+    std::vector<std::size_t> depthOne;
+    if (depthMax == 0) depthOne = freezeOrdering(state, {leader}, order_);
+    const std::vector<std::size_t>& freezeOrder =
+        depthMax >= 1 ? orders[depthOneAt] : depthOne;
     std::size_t firstKnower = n_;
     for (std::size_t i = 0; i < n_; ++i) {
       if (state.heardBy(freezeOrder[i]).test(leader)) {

@@ -191,7 +191,7 @@ class HeardOrderPathAdversary final : public Adversary {
   bool ascending_;
 };
 
-/// Damage-greedy trees over one memoized pairwise damage table.
+/// Damage-greedy trees over memoized whole damage rows.
 ///
 /// Attaching y under p leaks heard[p] \ heard[y] to y; the damage of that
 /// edge is Σ weight[x] over the leaked x, where weight[x] = 2^min(cov, 50)
@@ -201,13 +201,27 @@ class HeardOrderPathAdversary final : public Adversary {
 /// This mirrors the balanced-coverage structure of exact optimal play,
 /// which uses general branching trees rather than paths.
 ///
-/// damage(p, y) is computed at most once per bind, with the sum taken in
-/// ascending x, so every tree a caller builds from one state and weight
-/// vector shares the pairwise work and stays bit-identical (sums and
-/// tie-breaks included) to a fresh computation. Storage is reused across
-/// binds and invalidated by a generation stamp: after the first bind at
-/// a given n, binding and building allocate nothing but the returned
-/// tree. It costs n²·(8+4) B per owner (192 KiB at n = 128).
+/// Prim only ever reads the damages from one parent at a time, so they
+/// are kept as rows: row(p)[y] = damage(p, y) for every y at once. On
+/// the first tree() after a bind the cache transposes heard into the
+/// knower matrix K[x] = {y : x ∈ heard[y]}; a row is then one
+/// bitword::maskedWeightSum call over x ∈ heard[p], where lane y adds
+/// weight[x] unless bit y of K[x] is set. Every lane adds its terms in
+/// ascending x from +0.0 — the same additions, in the same order, as a
+/// per-pair sum — so trees (sums and tie-breaks included) are
+/// bit-identical on every SIMD tier. A row is computed at most once per
+/// bind and shared by every tree built from that bind.
+///
+/// Each Prim step is one pass over the unattached nodes, kept as an
+/// ascending list: it lowers their best costs from the new pick's row and
+/// finds the next pick (the first index of the strict minimum).
+///
+/// Storage is reused across binds and invalidated by a generation stamp
+/// per row: after the first bind at a given n, binding and building
+/// allocate nothing but the returned tree, and a bind with no tree costs
+/// only its weights. Rows are padded to a multiple of
+/// bitword::kMaskedSumLanes doubles; the rows dominate the footprint,
+/// about 8·n² B per owner (~130 KiB at n = 128).
 class DamageCache {
  public:
   /// Binds to `heard` with the plain exponential weights of `coverage`.
@@ -231,17 +245,21 @@ class DamageCache {
   void bindWeights(const std::vector<DynBitset>& heard,
                    const std::vector<std::size_t>& coverage,
                    double amplitude, Rng* rng);
-  [[nodiscard]] double damage(std::size_t p, std::size_t y);
+  /// row(p)[y] = damage(p, y) for every y < n, computed on first use.
+  [[nodiscard]] const double* row(std::size_t p);
 
   const std::vector<DynBitset>* heard_ = nullptr;
   std::size_t n_ = 0;
   std::size_t nwords_ = 0;
+  std::size_t stride_ = 0;                // n rounded up to whole lanes
   std::vector<double> weight_;
-  std::vector<double> value_;          // damage(p, y) at p·n + y
-  std::vector<std::uint32_t> stamp_;   // generation that computed value_
+  std::vector<std::uint64_t> knowers_;    // K[x] at x·nwords_
+  std::uint32_t knowersStamp_ = 0;        // generation that built knowers_
+  std::vector<double> rows_;              // row(p) at p·stride_
+  std::vector<std::uint32_t> rowStamp_;   // generation that computed row p
   std::uint32_t generation_ = 0;
-  std::vector<double> bestCost_;       // Prim working state
-  std::vector<std::uint8_t> attached_;
+  std::vector<double> bestCost_;          // Prim working state
+  std::vector<std::size_t> unattached_;   // ascending
 };
 
 /// Configuration for GreedyDelayAdversary's candidate pool.

@@ -1,6 +1,7 @@
-// Shared search-tree core for the witness searches.
-//
-// Two pieces the beam, lookahead, and exact layers all need:
+// Shared search-tree core for the heuristic witness searches. The beam
+// keeps its explored tree in the arena; beam and lookahead both dedup
+// states through the table. The exact solver uses neither: its one
+// survival DFS keeps its own row-array states and memo.
 //
 //   SearchTreeArena — a preallocated, fixed-capacity node pool holding
 //   the explored game tree. A node stores the producing move, its parent

@@ -70,6 +70,12 @@ struct Kernels {
   /// defers per-lane popcounts to end of round).
   void (*andAssign)(std::uint64_t* dst, const std::uint64_t* src,
                     std::size_t nwords) noexcept;
+  /// Masked weight row (see maskedWeightSum below): the damage-tree
+  /// kernel, one whole row of sums per call.
+  void (*maskedWeightSum)(double* row, std::size_t lanes,
+                          const std::uint64_t* select, std::size_t selectWords,
+                          const std::uint64_t* masks, std::size_t maskStride,
+                          const double* weight) noexcept;
   SimdLevel level;
   const char* name;
 };
@@ -170,6 +176,39 @@ inline void andAssign(std::uint64_t* dst, const std::uint64_t* src,
     return;
   }
   for (std::size_t i = 0; i < nwords; ++i) dst[i] &= src[i];
+}
+
+/// Lane count granularity of maskedWeightSum: rows are padded to a
+/// multiple of one AVX-512 register of doubles, so no tier needs a
+/// scalar tail loop.
+inline constexpr std::size_t kMaskedSumLanes = 8;
+
+/// For every lane y < lanes (a multiple of kMaskedSumLanes):
+///   row[y] = Σ weight[x] over the set bits x of select[0, selectWords),
+///            taken in ascending x, of those x whose mask row
+///            masks[x·maskStride, …] has bit y clear.
+/// Each lane starts at +0.0 and adds its terms one at a time in that
+/// order (a masked-off term adds nothing), so every tier rounds exactly
+/// like the scalar loop: no reassociation, no FMA. Mask rows need
+/// ceil(lanes / 64) words; lanes past the caller's logical size are
+/// written but carry no meaning. Always dispatched: one call does a
+/// whole row, so the indirect call is noise.
+inline void maskedWeightSum(
+    double* row, std::size_t lanes, const std::uint64_t* select,
+    std::size_t selectWords, const std::uint64_t* masks,
+    std::size_t maskStride, const double* weight) noexcept {
+  dispatch().maskedWeightSum(row, lanes, select, selectWords, masks,
+                             maskStride, weight);
+}
+
+/// Invokes fn(index) for every set bit of words[0, nwords), ascending.
+template <typename Fn>
+void forEachSetBit(const std::uint64_t* words, std::size_t nwords, Fn&& fn) {
+  for (std::size_t wi = 0; wi < nwords; ++wi) {
+    for (std::uint64_t w = words[wi]; w != 0; w &= w - 1) {
+      fn(wi * 64 + static_cast<std::size_t>(std::countr_zero(w)));
+    }
+  }
 }
 
 /// Invokes fn(index) for every bit set in (a & ~b), ascending — the

@@ -16,6 +16,7 @@
 // dynbcast-lint: hot-path
 #include "src/support/bitset.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 
@@ -75,10 +76,31 @@ void andAssignScalar(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t i = 0; i < nwords; ++i) dst[i] &= src[i];
 }
 
+// One 64-lane block at a time: the lanes of a block share one mask word
+// per term, and only the lanes whose bit is clear are touched, each
+// with one add in ascending x.
+void maskedWeightSumScalar(double* row, std::size_t lanes,
+                           const std::uint64_t* select, std::size_t selectWords,
+                           const std::uint64_t* masks, std::size_t maskStride,
+                           const double* weight) noexcept {
+  for (std::size_t base = 0; base < lanes; base += 64) {
+    const std::size_t block = std::min<std::size_t>(64, lanes - base);
+    const std::uint64_t laneMask =
+        block == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << block) - 1;
+    double* out = row + base;
+    for (std::size_t l = 0; l < block; ++l) out[l] = 0.0;
+    const std::uint64_t* maskWord = masks + base / 64;
+    forEachSetBit(select, selectWords, [&](std::size_t x) {
+      const std::uint64_t clear = ~maskWord[x * maskStride] & laneMask;
+      forEachSetBit(&clear, 1, [&](std::size_t l) { out[l] += weight[x]; });
+    });
+  }
+}
+
 constexpr Kernels kScalarKernels{
-    &orAssignScalar, &orCountScalar,  &andAssignCountScalar,
-    &intersectAnyScalar, &orIntoScalar, &andAssignScalar,
-    SimdLevel::kScalar,  "scalar"};
+    &orAssignScalar,     &orCountScalar, &andAssignCountScalar,
+    &intersectAnyScalar, &orIntoScalar,  &andAssignScalar,
+    &maskedWeightSumScalar, SimdLevel::kScalar, "scalar"};
 
 #if DYNBCAST_SIMD_X86
 
@@ -203,10 +225,69 @@ __attribute__((target("avx2,popcnt"))) void andAssignAvx2(
   for (; i < nwords; ++i) dst[i] &= src[i];
 }
 
+// maskedWeightSum: kAcc ymm accumulators (4 lanes each) stay in
+// registers across the whole term loop. Lane 4j+i of the span reads bit
+// shift+4j+i of the term's mask word: a variable left shift moves it to
+// the sign bit, where blendv picks w or +0.0 (which leaves a sum that
+// starts at +0.0 unchanged, see the scalar tier).
+template <std::size_t kAcc>
+__attribute__((target("avx2,popcnt"))) void maskedSpanAvx2(
+    double* out, std::size_t word, unsigned shift,
+    const std::uint64_t* select, std::size_t selectWords,
+    const std::uint64_t* masks, std::size_t maskStride,
+    const double* weight) noexcept {
+  __m256d acc[kAcc];
+  __m256i toSign[kAcc];
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < kAcc; ++j) {
+    acc[j] = _mm256_setzero_pd();
+    const auto at = static_cast<long long>(63 - 4 * j);
+    toSign[j] = _mm256_set_epi64x(at - 3, at - 2, at - 1, at);
+  }
+  const __m256d zero = _mm256_setzero_pd();
+  // Plain loops: a lambda would not inherit this target attribute.
+  for (std::size_t wi = 0; wi < selectWords; ++wi) {
+    for (std::uint64_t s = select[wi]; s != 0; s &= s - 1) {
+      const std::size_t x =
+          wi * 64 + static_cast<std::size_t>(std::countr_zero(s));
+      const std::uint64_t clear = ~masks[x * maskStride + word] >> shift;
+      const __m256d w = _mm256_set1_pd(weight[x]);
+      const __m256i c = _mm256_set1_epi64x(static_cast<long long>(clear));
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < kAcc; ++j) {
+        const __m256d on =
+            _mm256_castsi256_pd(_mm256_sllv_epi64(c, toSign[j]));
+        acc[j] = _mm256_add_pd(acc[j], _mm256_blendv_pd(zero, w, on));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < kAcc; ++j) _mm256_storeu_pd(out + 4 * j, acc[j]);
+}
+
+__attribute__((target("avx2,popcnt"))) void maskedWeightSumAvx2(
+    double* row, std::size_t lanes, const std::uint64_t* select,
+    std::size_t selectWords, const std::uint64_t* masks,
+    std::size_t maskStride, const double* weight) noexcept {
+  // Spans of 32 lanes (eight accumulators, half the register file); the
+  // last span has 8, 16 or 24 lanes when lanes is not a multiple of 32.
+  using Span = void (*)(double*, std::size_t, unsigned, const std::uint64_t*,
+                        std::size_t, const std::uint64_t*, std::size_t,
+                        const double*) noexcept;
+  static constexpr Span kSpans[] = {nullptr, &maskedSpanAvx2<2>,
+                                    &maskedSpanAvx2<4>, &maskedSpanAvx2<6>,
+                                    &maskedSpanAvx2<8>};
+  for (std::size_t base = 0; base < lanes; base += 32) {
+    kSpans[std::min<std::size_t>(32, lanes - base) / 8](
+        row + base, base / 64, static_cast<unsigned>(base % 64), select,
+        selectWords, masks, maskStride, weight);
+  }
+}
+
 constexpr Kernels kAvx2Kernels{
-    &orAssignAvx2, &orCountAvx2,  &andAssignCountAvx2,
-    &intersectAnyAvx2, &orIntoAvx2, &andAssignAvx2,
-    SimdLevel::kAvx2,  "avx2"};
+    &orAssignAvx2,     &orCountAvx2, &andAssignCountAvx2,
+    &intersectAnyAvx2, &orIntoAvx2,  &andAssignAvx2,
+    &maskedWeightSumAvx2, SimdLevel::kAvx2, "avx2"};
 
 // --- AVX-512 tier -----------------------------------------------------
 //
@@ -315,12 +396,60 @@ __attribute__((DYNBCAST_AVX512_TARGET)) void andAssignAvx512(
   for (; i < nwords; ++i) dst[i] &= src[i];
 }
 
+// maskedWeightSum: kAcc zmm accumulators (8 lanes each) stay in
+// registers across the whole term loop, and one mask byte per
+// accumulator drives a masked add, so a masked-off lane adds nothing.
+// Storing to memory per term instead was clearly slower.
+template <std::size_t kAcc>
+__attribute__((DYNBCAST_AVX512_TARGET)) void maskedBlockAvx512(
+    double* out, std::size_t word, const std::uint64_t* select,
+    std::size_t selectWords, const std::uint64_t* masks,
+    std::size_t maskStride, const double* weight) noexcept {
+  __m512d acc[kAcc];
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < kAcc; ++j) acc[j] = _mm512_setzero_pd();
+  for (std::size_t wi = 0; wi < selectWords; ++wi) {
+    for (std::uint64_t s = select[wi]; s != 0; s &= s - 1) {
+      const std::size_t x =
+          wi * 64 + static_cast<std::size_t>(std::countr_zero(s));
+      const std::uint64_t clear = ~masks[x * maskStride + word];
+      const __m512d w = _mm512_set1_pd(weight[x]);
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < kAcc; ++j) {
+        acc[j] = _mm512_mask_add_pd(
+            acc[j], static_cast<__mmask8>(clear >> (8 * j)), acc[j], w);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < kAcc; ++j) _mm512_storeu_pd(out + 8 * j, acc[j]);
+}
+
+__attribute__((DYNBCAST_AVX512_TARGET)) void maskedWeightSumAvx512(
+    double* row, std::size_t lanes, const std::uint64_t* select,
+    std::size_t selectWords, const std::uint64_t* masks,
+    std::size_t maskStride, const double* weight) noexcept {
+  // Blocks of 64 lanes, one mask word each; the last block has 8·k lanes.
+  using Block = void (*)(double*, std::size_t, const std::uint64_t*,
+                         std::size_t, const std::uint64_t*, std::size_t,
+                         const double*) noexcept;
+  static constexpr Block kBlocks[] = {
+      nullptr,                &maskedBlockAvx512<1>, &maskedBlockAvx512<2>,
+      &maskedBlockAvx512<3>,  &maskedBlockAvx512<4>, &maskedBlockAvx512<5>,
+      &maskedBlockAvx512<6>,  &maskedBlockAvx512<7>, &maskedBlockAvx512<8>};
+  for (std::size_t base = 0; base < lanes; base += 64) {
+    kBlocks[std::min<std::size_t>(64, lanes - base) / 8](
+        row + base, base / 64, select, selectWords, masks, maskStride,
+        weight);
+  }
+}
+
 #undef DYNBCAST_AVX512_TARGET
 
 constexpr Kernels kAvx512Kernels{
-    &orAssignAvx512, &orCountAvx512,  &andAssignCountAvx512,
-    &intersectAnyAvx512, &orIntoAvx512, &andAssignAvx512,
-    SimdLevel::kAvx512,  "avx512"};
+    &orAssignAvx512,     &orCountAvx512, &andAssignCountAvx512,
+    &intersectAnyAvx512, &orIntoAvx512,  &andAssignAvx512,
+    &maskedWeightSumAvx512, SimdLevel::kAvx512, "avx512"};
 
 #endif  // DYNBCAST_SIMD_X86
 

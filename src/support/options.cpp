@@ -108,13 +108,15 @@ void Options::rejectUnread() const {
   }
 }
 
-void Options::rejectUnreadOrExit() const {
+int guardedMain(int argc, const char* const* argv,
+                int (*body)(int argc, const char* const* argv)) {
   try {
-    rejectUnread();
-  } catch (const std::invalid_argument& e) {
-    std::cerr << std::filesystem::path(program_).filename().string() << ": "
-              << e.what() << '\n';
-    std::exit(2);
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    const std::string program =
+        argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "";
+    std::cerr << program << ": " << e.what() << '\n';
+    return 2;
   }
 }
 

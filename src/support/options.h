@@ -47,10 +47,6 @@ class Options {
   /// doing any work.
   void rejectUnread() const;
 
-  /// rejectUnread() for a program's main(): on an unknown flag, prints
-  /// "<program>: <message>" to stderr and exits with status 2.
-  void rejectUnreadOrExit() const;
-
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
@@ -65,6 +61,13 @@ class Options {
   std::vector<std::string> positional_;
   mutable std::set<std::string> asked_;  // keys get/has were called with
 };
+
+/// A program's main(): returns body(argc, argv), except that a
+/// std::exception escaping it — a malformed number, an unknown flag from
+/// rejectUnread(), a bad spec — prints "<program>: <what>" to stderr and
+/// returns 2 instead of aborting. <program> is argv[0]'s file name.
+int guardedMain(int argc, const char* const* argv,
+                int (*body)(int argc, const char* const* argv));
 
 /// Parses "8,16,32" or "8:64:2" (lo:hi:multiplicative-step) into a list.
 /// Throws std::invalid_argument, naming the token, on a size of 0, a

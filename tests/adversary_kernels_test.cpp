@@ -149,6 +149,79 @@ TEST(DamageCacheTest, NoisyBindMatchesPairwisePrimAndRngStream) {
   }
 }
 
+TEST(DamageCacheTest, InexactSumsMatchPairwisePrim) {
+  // Weights from 2^1 to 10^6·2^50 at n = 130: coverage-1..3 processes
+  // (low ids), then coverages at or above the 50 cap, then near-complete
+  // ones (×10^6). Sums of the cap weights pass 2^53, so the small terms
+  // round differently depending on when they are added, and only the
+  // exact ascending-x order reproduces the cache's trees.
+  constexpr std::size_t n = 130;
+  Rng rng(31);
+  std::vector<std::size_t> coverage(n);
+  for (std::size_t x = 0; x < n; ++x) {
+    if (x < 40) {
+      coverage[x] = 1 + rng.uniform(3);
+    } else if (x < 117) {
+      coverage[x] = 50 + rng.uniform(40);
+    } else {
+      coverage[x] = n - 1 - rng.uniform(2);
+    }
+  }
+  // Heard sets consistent with the coverages: x itself plus c−1 others.
+  std::vector<DynBitset> heard(n, DynBitset(n));
+  for (std::size_t x = 0; x < n; ++x) {
+    heard[x].set(x);
+    for (std::size_t placed = 1; placed < coverage[x];) {
+      const std::size_t y = rng.uniform(n);
+      if (!heard[y].test(x)) {
+        heard[y].set(x);
+        ++placed;
+      }
+    }
+  }
+  ASSERT_EQ(coverageOf(heard), coverage);
+
+  // The case is real: some pair's sum depends on the summation order.
+  std::size_t orderSensitive = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t y = 0; y < n; ++y) {
+      double ascending = 0.0;
+      double descending = 0.0;
+      for (std::size_t x = 0; x < n; ++x) {
+        if (heard[p].test(x) && !heard[y].test(x)) {
+          ascending += std::exp2(static_cast<double>(
+                           std::min<std::size_t>(coverage[x], 50))) *
+                       (coverage[x] + 1 >= n ? 1e6 : 1.0);
+        }
+        const std::size_t z = n - 1 - x;
+        if (heard[p].test(z) && !heard[y].test(z)) {
+          descending += std::exp2(static_cast<double>(
+                            std::min<std::size_t>(coverage[z], 50))) *
+                        (coverage[z] + 1 >= n ? 1e6 : 1.0);
+        }
+      }
+      if (ascending != descending) ++orderSensitive;
+    }
+  }
+  EXPECT_GT(orderSensitive, 0u);
+
+  DamageCache cache;
+  cache.bind(heard, coverage);
+  for (std::size_t root = 0; root < n; ++root) {
+    ASSERT_EQ(cache.tree(root),
+              referenceDamageTree(heard, coverage, root, 0.0, nullptr))
+        << "root=" << root;
+  }
+  Rng cacheRng(5);
+  Rng referenceRng(5);
+  for (std::size_t root = 0; root < n; root += 13) {
+    cache.bindNoisy(heard, coverage, 8.0, cacheRng);
+    ASSERT_EQ(cache.tree(root),
+              referenceDamageTree(heard, coverage, root, 8.0, &referenceRng))
+        << "noisy root=" << root;
+  }
+}
+
 TEST(EvaluatePathOrderTest, MatchesEvaluateCandidateOnMaterializedPath) {
   Rng rng(2024);
   EvalScratch pathScratch;

@@ -48,6 +48,7 @@ def sweep_doc(**overrides):
         "transposition_hit_rate": 0.5,
         "lookahead_tt_hit_rate": 0.5,
         "service_warm_speedup": 6.0,
+        "damage_tree_speedup": 3.0,
     }
     doc.update(overrides)
     return doc

@@ -8,6 +8,7 @@
 // loops at the same n values the kernel suite uses.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -120,6 +121,60 @@ TEST(SimdKernelTest, IntersectAnyFindsLoneOverlapAtEveryPosition) {
         EXPECT_FALSE(k.intersectAny(a.data(), b.data(), nwords))
             << k.name << " nwords=" << nwords << " word=" << w;
         b[w] >>= 1;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, MaskedWeightSumIsBitIdenticalOnEveryTier) {
+  // n processes: lanes padded to whole registers, one mask row of
+  // ceil(n/64) words per process (tail bits zero), weights spread over
+  // ~60 binary orders of magnitude so most sums round.
+  const std::size_t kProcessCounts[] = {1, 7, 8, 63, 64, 65, 130};
+  Rng rng(4242);
+  for (const std::size_t n : kProcessCounts) {
+    const std::size_t nwords = (n + 63) / 64;
+    const std::size_t lanes =
+        (n + bitword::kMaskedSumLanes - 1) / bitword::kMaskedSumLanes *
+        bitword::kMaskedSumLanes;
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<std::uint64_t> select(nwords, 0);
+      std::vector<std::uint64_t> masks(n * nwords, 0);
+      std::vector<double> weight(n);
+      for (std::size_t x = 0; x < n; ++x) {
+        if (trial == 0 || rng.chance(0.6)) select[x / 64] |= 1ull << (x % 64);
+        for (std::size_t y = 0; y < n; ++y) {
+          if (rng.chance(0.5)) masks[x * nwords + y / 64] |= 1ull << (y % 64);
+        }
+        weight[x] = std::ldexp(1.0 + rng.uniformReal(),
+                               static_cast<int>(rng.uniform(60)));
+      }
+      // Naive per-lane definition: ascending x, from +0.0.
+      std::vector<double> naive(n, 0.0);
+      for (std::size_t y = 0; y < n; ++y) {
+        for (std::size_t x = 0; x < n; ++x) {
+          const bool selected = ((select[x / 64] >> (x % 64)) & 1u) != 0;
+          const bool masked =
+              ((masks[x * nwords + y / 64] >> (y % 64)) & 1u) != 0;
+          if (selected && !masked) naive[y] += weight[x];
+        }
+      }
+      std::vector<double> expect(lanes, -1.0);
+      kernelsFor(SimdLevel::kScalar)
+          .maskedWeightSum(expect.data(), lanes, select.data(), nwords,
+                           masks.data(), nwords, weight.data());
+      ASSERT_EQ(std::memcmp(expect.data(), naive.data(), n * sizeof(double)),
+                0)
+          << "scalar vs naive n=" << n;
+      for (const SimdLevel level : supportedLevels()) {
+        const Kernels& k = kernelsFor(level);
+        std::vector<double> row(lanes, -1.0);
+        k.maskedWeightSum(row.data(), lanes, select.data(), nwords,
+                          masks.data(), nwords, weight.data());
+        EXPECT_EQ(std::memcmp(row.data(), expect.data(),
+                              lanes * sizeof(double)),
+                  0)
+            << k.name << " n=" << n << " trial=" << trial;
       }
     }
   }
