@@ -22,6 +22,7 @@
 //
 // Flags (on top of the shared driver's --sizes/--seed/--jobs/--csv):
 //   --quick        CI mode: smaller sweep size and shorter kernel reps
+//                  (the batched-vs-scalar sweep stays at n = 256)
 //   --out=DIR      directory for the BENCH_*.json files (default ".")
 //   --sweep-n=N    portfolio sweep size (default 256; 96 with --quick)
 // Any other flag is rejected before anything runs.
@@ -236,6 +237,10 @@ KernelResult benchSimRound(std::size_t n, double minSeconds, Rng& rng) {
 /// matches BatchPolicy::kAutoWidth so the gated speedups describe what
 /// `--batch=auto` actually runs.
 constexpr std::size_t kBatchBenchWidth = 8;
+/// The batched-vs-scalar engine sweep runs at this n in quick and full
+/// mode alike, so CI's --quick run gates batch_sweep_speedup against a
+/// baseline measured at the same size.
+constexpr std::size_t kBatchSweepN = 256;
 
 KernelResult benchBatchRound(std::size_t n, double minSeconds, Rng& rng) {
   // simApplyTree's batched twin: the same cyclic tree pool, one op = one
@@ -703,6 +708,7 @@ void writeSweepJson(const std::string& path, std::size_t n,
                damageTrees.pairwiseMs / damageTrees.rowMs);
   std::fprintf(f, "  \"batch_width\": %zu,\n", kBatchBenchWidth);
   std::fprintf(f, "  \"batch_round_speedup\": %.4f,\n", batchRoundSpeedup);
+  std::fprintf(f, "  \"batch_sweep_n\": %zu,\n", batchSweep.n);
   std::fprintf(f, "  \"batch_scalar_ms\": %.3f,\n", batchSweep.scalarMs);
   std::fprintf(f, "  \"batch_batched_ms\": %.3f,\n", batchSweep.batchedMs);
   std::fprintf(f, "  \"batch_sweep_speedup\": %.4f,\n",
@@ -815,13 +821,14 @@ int run(int argc, const char* const* argv) {
       timePortfolioSweep(sweepN, driver.seed(), &bestRounds);
   const AdversaryGameTiming games = timeAdversaryGames(driver.seed());
   const BatchSweepTiming batchSweep =
-      timeBatchedSweep(sweepN, driver.seed());
-  TextTable sweepTable({"n", "portfolio ms", "best t*", "scalar ms",
-                        "batched ms", "batch speedup"});
+      timeBatchedSweep(kBatchSweepN, driver.seed());
+  TextTable sweepTable({"n", "portfolio ms", "best t*", "batch n",
+                        "scalar ms", "batched ms", "batch speedup"});
   sweepTable.row()
       .add(static_cast<std::uint64_t>(sweepN))
       .add(portfolioMs, 1)
       .add(static_cast<std::uint64_t>(bestRounds))
+      .add(static_cast<std::uint64_t>(batchSweep.n))
       .add(batchSweep.scalarMs, 1)
       .add(batchSweep.batchedMs, 1)
       .add(batchSweep.scalarMs / batchSweep.batchedMs, 2);

@@ -79,17 +79,18 @@ class DynamicsModel {
   /// replays the previous one exactly.
   virtual void reset() {}
 
-  /// True when the model can emit rounds as arc lists without ever
+  /// True when the model can emit rounds as CSR arcs without ever
   /// materializing the dense matrix (nextSparseRound below). Oblivious
   /// stochastic models can; adversary-driven dynamics cannot (their
   /// moves inspect the dense simulator state).
   [[nodiscard]] virtual bool supportsSparseRounds() const { return false; }
 
-  /// The communication graph for the next round as a SparseRound
-  /// (self-loops implicit). Contract mirrors nextGraph(): all randomness
-  /// flows from the constructed seed, reset() rewinds the sequence, and
-  /// for n ≤ kSparseDenseMirrorMaxN the emitted graph is bit-identical
-  /// to what nextGraph() would have produced. A model instance must be
+  /// Writes the communication graph for the next round into `out` as a
+  /// source-major CSR (self-loops implicit), replacing whatever `out`
+  /// held. Contract mirrors nextGraph(): all randomness flows from the
+  /// constructed seed, reset() rewinds the sequence, and for n ≤
+  /// kSparseDenseMirrorMaxN the emitted graph is bit-identical to what
+  /// nextGraph() would have produced. A model instance must be
   /// driven through ONE of the two interfaces per run (reset() starts a
   /// fresh run). Throws std::logic_error unless supportsSparseRounds().
   virtual void nextSparseRound(SparseRound& out);
@@ -105,14 +106,10 @@ class DynamicsRoundSource final : public SparseRoundSource {
 
   void reset() override { model_.reset(); }
 
-  const SparseRound& next() override {
-    model_.nextSparseRound(round_);
-    return round_;
-  }
+  void next(SparseRound& out) override { model_.nextSparseRound(out); }
 
  private:
   DynamicsModel& model_;
-  SparseRound round_;
 };
 
 /// Drives a BroadcastSim with graphs from `model` (reset first) until

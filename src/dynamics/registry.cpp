@@ -4,7 +4,6 @@
 #include "src/dynamics/registry.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -19,28 +18,6 @@
 namespace dynbcast {
 
 namespace {
-
-/// Extracts a dense round into an arc list (diagonal skipped; self-loops
-/// are implicit on the sparse path) — the mirror-mode bridge that keeps
-/// sparse generation bit-identical to dense at overlapping n.
-void appendArcsFromDense(const BitMatrix& g, SparseRound& out) {
-  const std::size_t n = g.dim();
-  for (std::size_t x = 0; x < n; ++x) {
-    const DynBitset& row = g.row(x);
-    const std::uint64_t* words = row.wordData();
-    for (std::size_t wi = 0; wi < row.wordCount(); ++wi) {
-      std::uint64_t w = words[wi];
-      while (w != 0) {
-        const std::size_t y =
-            wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
-        w &= w - 1;
-        if (y == x) continue;
-        out.arcs.emplace_back(static_cast<std::uint32_t>(x),
-                              static_cast<std::uint32_t>(y));
-      }
-    }
-  }
-}
 
 /// Calls fn(i) for each success of an iid Bernoulli(p) process over
 /// i ∈ [0, space), in ascending order, using geometric skip-sampling —
@@ -67,14 +44,36 @@ void skipSampleBernoulli(std::uint64_t space, double p, Rng& rng, Fn&& fn) {
   }
 }
 
-/// Decodes an index of the n(n-1) off-diagonal ordered-pair space into
-/// its (x, y) arc; indices ascend lexicographically in (x, y).
-inline std::pair<std::uint32_t, std::uint32_t> decodePair(std::uint64_t i,
-                                                          std::size_t n) {
-  const auto x = static_cast<std::uint32_t>(i / (n - 1));
-  const auto r = static_cast<std::uint32_t>(i % (n - 1));
-  return {x, r + (r >= x ? 1 : 0)};
-}
+/// Decodes ASCENDING indices of the n(n-1) off-diagonal ordered-pair
+/// space (skipSampleBernoulli's output order) into arcs without
+/// division: row x spans [x(n-1), (x+1)(n-1)), and column r of row x is
+/// target r + (r >= x).
+class AscendingPairs {
+ public:
+  explicit AscendingPairs(std::size_t n) : rowLen_(n - 1) {}
+
+  /// The current row: the source of the last decoded index.
+  [[nodiscard]] std::uint32_t row() const noexcept { return x_; }
+
+  /// Moves to the row holding i (i must not decrease between calls),
+  /// calling closeRow(x) for every row left behind, and returns the
+  /// target of index i.
+  template <typename CloseRow>
+  std::uint32_t target(std::uint64_t i, CloseRow&& closeRow) {
+    while (i - rowStart_ >= rowLen_) {
+      closeRow(x_);
+      ++x_;
+      rowStart_ += rowLen_;
+    }
+    const auto r = static_cast<std::uint32_t>(i - rowStart_);
+    return r + (r >= x_ ? 1 : 0);
+  }
+
+ private:
+  std::uint64_t rowLen_;
+  std::uint64_t rowStart_ = 0;
+  std::uint32_t x_ = 0;
+};
 
 /// Stall-detector cap for the stochastic models with no sharper published
 /// bound here (edge-Markovian, T-interval): oblivious dynamic sequences
@@ -117,33 +116,36 @@ class NonsplitRandomModel final : public SeededGraphModel {
   [[nodiscard]] bool supportsSparseRounds() const override { return true; }
 
   void nextSparseRound(SparseRound& out) override {
-    out.n = n_;
-    out.sameAsPrevious = false;
-    out.arcs.clear();
     if (n_ <= kSparseDenseMirrorMaxN) {
-      appendArcsFromDense(denseDraw(), out);
+      out = SparseRound::fromGraph(denseDraw());
       return;
     }
     // Native sparse draw: the same random arcs, but the dense repair
     // pass (which walks all pairs) is replaced by a random hub informing
     // everyone — still nonsplit (the hub is a common in-neighbor of
     // every pair), distributionally close rather than identical.
+    std::vector<SparseRound::Arc> arcs;
     if (p_ > 0.0) {
+      AscendingPairs pairs(n_);
       skipSampleBernoulli(
           static_cast<std::uint64_t>(n_) * (n_ - 1), p_, rng_,
-          [&](std::uint64_t i) { out.arcs.push_back(decodePair(i, n_)); });
+          [&](std::uint64_t i) {
+            const std::uint32_t y = pairs.target(i, [](std::uint32_t) {});
+            arcs.emplace_back(pairs.row(), y);
+          });
     } else {
       const std::size_t count = edges_ != 0 ? edges_ : 2 * n_;
       for (std::size_t e = 0; e < count; ++e) {
         const auto x = static_cast<std::uint32_t>(rng_.uniform(n_));
         const auto y = static_cast<std::uint32_t>(rng_.uniform(n_));
-        if (x != y) out.arcs.emplace_back(x, y);
+        if (x != y) arcs.emplace_back(x, y);
       }
     }
     const auto hub = static_cast<std::uint32_t>(rng_.uniform(n_));
     for (std::uint32_t y = 0; y < n_; ++y) {
-      if (y != hub) out.arcs.emplace_back(hub, y);
+      if (y != hub) arcs.emplace_back(hub, y);
     }
+    out = SparseRound::fromArcs(n_, arcs);
   }
 
   [[nodiscard]] DynamicsClass graphClass() const override {
@@ -205,53 +207,21 @@ class EdgeMarkovianModel final : public SeededGraphModel {
   [[nodiscard]] bool supportsSparseRounds() const override { return true; }
 
   void nextSparseRound(SparseRound& out) override {
-    out.n = n_;
-    out.sameAsPrevious = false;
-    out.arcs.clear();
     if (n_ <= kSparseDenseMirrorMaxN) {
       // Mirror mode: the exact dense RNG call sequence, arcs extracted
       // from the evolved matrix.
       denseStep();
-      appendArcsFromDense(edges_, out);
+      out = SparseRound::fromGraph(edges_);
       return;
     }
-    // Native sparse evolution over the present-arc list: deaths by
-    // per-arc Bernoulli(q), births by skip-sampling Bernoulli(p) over
-    // the whole pair space with present pairs rejected (a present pair
-    // only faces death this round, exactly as in the dense step).
-    const std::uint64_t space = static_cast<std::uint64_t>(n_) * (n_ - 1);
     if (!sparseStarted_) {
-      const double stationary = p_ + q_ > 0.0 ? p_ / (p_ + q_) : 1.0;
-      sparseKeys_.clear();
-      skipSampleBernoulli(space, stationary, rng_,
-                          [&](std::uint64_t i) { sparseKeys_.push_back(i); });
+      stationaryDraw();
       sparseStarted_ = true;
-    } else {
-      survivorKeys_.clear();
-      for (const std::uint64_t key : sparseKeys_) {
-        if (!rng_.chance(q_)) survivorKeys_.push_back(key);
-      }
-      // Candidates arrive in ascending order, so one forward cursor over
-      // the (sorted) present keys rejects present pairs.
-      birthKeys_.clear();
-      auto present = sparseKeys_.cbegin();
-      skipSampleBernoulli(space, p_, rng_, [&](std::uint64_t i) {
-        while (present != sparseKeys_.cend() && *present < i) ++present;
-        if (present == sparseKeys_.cend() || *present != i) {
-          birthKeys_.push_back(i);
-        }
-      });
-      mergedKeys_.clear();
-      mergedKeys_.reserve(survivorKeys_.size() + birthKeys_.size());
-      std::merge(survivorKeys_.begin(), survivorKeys_.end(),
-                 birthKeys_.begin(), birthKeys_.end(),
-                 std::back_inserter(mergedKeys_));
-      sparseKeys_.swap(mergedKeys_);
+      out = state_;
+      return;
     }
-    out.arcs.reserve(sparseKeys_.size());
-    for (const std::uint64_t key : sparseKeys_) {
-      out.arcs.push_back(decodePair(key, n_));
-    }
+    evolve(out);
+    state_ = out;
   }
 
   [[nodiscard]] DynamicsClass graphClass() const override {
@@ -266,10 +236,105 @@ class EdgeMarkovianModel final : public SeededGraphModel {
     SeededGraphModel::reset();
     started_ = false;
     sparseStarted_ = false;
-    sparseKeys_.clear();
   }
 
  private:
+  /// Top bit of a state target: the arc dies this round. Node ids stay
+  /// below it (the native path needs n <= 2^31).
+  static constexpr std::uint32_t kDead = std::uint32_t{1} << 31;
+
+  /// Native round 1: a stationary draw (density p/(p+q)) over the pair
+  /// space, decoded straight into state_'s ascending rows.
+  void stationaryDraw() {
+    DYNBCAST_ASSERT_MSG(n_ <= kDead, "native edge-markovian needs n <= 2^31");
+    const double stationary = p_ + q_ > 0.0 ? p_ / (p_ + q_) : 1.0;
+    std::vector<std::uint32_t>& offsets = state_.offsets;
+    std::vector<std::uint32_t>& targets = state_.targets;
+    state_.n = n_;
+    offsets.assign(1, 0);
+    targets.clear();
+    const auto closeRow = [&](std::uint32_t) {
+      offsets.push_back(static_cast<std::uint32_t>(targets.size()));
+    };
+    AscendingPairs pairs(n_);
+    skipSampleBernoulli(pairSpace(), stationary, rng_, [&](std::uint64_t i) {
+      targets.push_back(pairs.target(i, closeRow));
+    });
+    while (offsets.size() <= n_) closeRow(0);
+  }
+
+  /// One native chain step from state_ into `next`. Deaths come first,
+  /// one Bernoulli(q) draw per present arc in row order, marked in place
+  /// with kDead. Births are skip-sampled over the whole pair space in
+  /// ascending order; a row's births are buffered until the sampler
+  /// leaves the row, then merged with its survivors. A pair present at
+  /// the start of the round (dying or not) only faces death, so a birth
+  /// landing on it is rejected, exactly as in the dense step. Rows stay
+  /// ascending, so the emitted arcs are the present pairs in (x, y)
+  /// order.
+  void evolve(SparseRound& next) {
+    std::vector<std::uint32_t>& cur = state_.targets;
+    if (q_ >= 1.0) {
+      for (std::uint32_t& t : cur) t |= kDead;
+    } else if (q_ > 0.0) {
+      for (std::uint32_t& t : cur) {
+        t |= static_cast<std::uint32_t>(rng_.uniformReal() < q_) << 31;
+      }
+    }
+    const std::vector<std::uint32_t>& rows = state_.offsets;
+    std::vector<std::uint32_t>& offsets = next.offsets;
+    std::vector<std::uint32_t>& targets = next.targets;
+    next.n = n_;
+    next.sameAsPrevious = false;
+    offsets.assign(1, 0);
+    // targets stays sized to its capacity; a dead arc is written and
+    // then overwritten, so the survivor copy has no branch.
+    growToCapacity(targets, cur.size() + cur.size() / 32);
+    std::size_t w = 0;
+    const auto closeRow = [&](std::uint32_t x) {
+      const std::uint32_t begin = rows[x];
+      const std::uint32_t end = rows[x + 1];
+      const std::size_t births = births_.size();
+      const std::size_t need = w + (end - begin) + births;
+      if (need > targets.size()) {
+        growToCapacity(targets, need + cur.size() / 16);
+      }
+      std::uint32_t* dst = targets.data();
+      std::size_t b = 0;
+      for (std::uint32_t k = begin; k < end; ++k) {
+        const std::uint32_t t = cur[k];
+        const std::uint32_t id = t & ~kDead;
+        while (b < births && births_[b] < id) dst[w++] = births_[b++];
+        // A birth drawn on a present pair is rejected: it faces death only.
+        if (b < births && births_[b] == id) ++b;
+        dst[w] = id;
+        w += 1 - (t >> 31);
+      }
+      while (b < births) dst[w++] = births_[b++];
+      births_.clear();
+      offsets.push_back(static_cast<std::uint32_t>(w));
+    };
+    AscendingPairs pairs(n_);
+    skipSampleBernoulli(pairSpace(), p_, rng_, [&](std::uint64_t i) {
+      births_.push_back(pairs.target(i, closeRow));
+    });
+    for (std::size_t x = pairs.row(); x < n_; ++x) {
+      closeRow(static_cast<std::uint32_t>(x));
+    }
+    targets.resize(w);
+  }
+
+  /// Makes v as long as its capacity, and that at least `size`.
+  static void growToCapacity(std::vector<std::uint32_t>& v,
+                             std::size_t size) {
+    if (size > v.capacity()) v.reserve(size);
+    v.resize(v.capacity());
+  }
+
+  [[nodiscard]] std::uint64_t pairSpace() const noexcept {
+    return static_cast<std::uint64_t>(n_) * (n_ - 1);
+  }
+
   /// One dense chain step into edges_ (stationary draw first, evolution
   /// after) — shared by nextGraph and the sparse mirror mode.
   void denseStep() {
@@ -303,12 +368,11 @@ class EdgeMarkovianModel final : public SeededGraphModel {
   BitMatrix edges_;
   bool started_ = false;
   bool sparseStarted_ = false;
-  /// Present off-diagonal arcs as sorted pair-space indices (see
-  /// decodePair) — the O(edges) state of the native sparse chain.
-  std::vector<std::uint64_t> sparseKeys_;
-  std::vector<std::uint64_t> survivorKeys_;
-  std::vector<std::uint64_t> birthKeys_;
-  std::vector<std::uint64_t> mergedKeys_;
+  /// The native chain's O(edges) state: the present arcs as a CSR with
+  /// ascending rows, a copy of the last emitted round (the caller owns
+  /// that round's buffers, e.g. as a t*-mode cache slot).
+  SparseRound state_;
+  std::vector<std::uint32_t> births_;  ///< the open row's births, ascending
 };
 
 /// "t-interval": a uniformly random spanning tree, symmetrized (both
@@ -340,23 +404,21 @@ class TIntervalModel final : public SeededGraphModel {
     // Consumes exactly the same RNG stream as nextGraph (one
     // randomRootedTree per period), so sparse mirrors dense at EVERY n —
     // a tree has 2(n-1) symmetrized arcs, never a dense matrix.
-    out.n = n_;
     if (age_ == 0) {
       const RootedTree tree = randomRootedTree(n_, rng_);
-      sparseArcs_.clear();
-      sparseArcs_.reserve(2 * (n_ - 1));
+      std::vector<SparseRound::Arc> arcs;
+      arcs.reserve(2 * (n_ - 1));
       for (std::size_t v = 0; v < n_; ++v) {
         if (v == tree.root()) continue;
         const auto parent = static_cast<std::uint32_t>(tree.parent(v));
         const auto child = static_cast<std::uint32_t>(v);
-        sparseArcs_.emplace_back(parent, child);
-        sparseArcs_.emplace_back(child, parent);
+        arcs.emplace_back(parent, child);
+        arcs.emplace_back(child, parent);
       }
-      out.sameAsPrevious = false;
-    } else {
-      out.sameAsPrevious = true;
+      tree_ = SparseRound::fromArcs(n_, arcs);
     }
-    out.arcs = sparseArcs_;
+    out = tree_;
+    out.sameAsPrevious = age_ != 0;
     age_ = (age_ + 1) % period_;
   }
 
@@ -372,14 +434,14 @@ class TIntervalModel final : public SeededGraphModel {
     SeededGraphModel::reset();
     age_ = 0;
     current_ = BitMatrix();
-    sparseArcs_.clear();
+    tree_ = SparseRound();
   }
 
  private:
   std::size_t period_;
   std::size_t age_ = 0;
   BitMatrix current_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sparseArcs_;
+  SparseRound tree_;  ///< the held tree's symmetrized arcs (sparse path)
 };
 
 void registerBuiltins(DynamicsRegistry& reg) {

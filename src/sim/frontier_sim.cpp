@@ -13,6 +13,65 @@
 
 namespace dynbcast {
 
+namespace {
+
+/// Counting sort of an arc stream into out's CSR, keyed by the arc's
+/// first id. forEachArc(emit) must emit the same (key, value) pairs in
+/// the same order each time: it runs once to size the rows and once to
+/// fill them. Pairs with key == value (self-loops) are dropped.
+template <typename ForEachArc>
+void fillCsr(std::size_t n, SparseRound& out, ForEachArc&& forEachArc) {
+  out.n = n;
+  out.sameAsPrevious = false;
+  std::vector<std::uint32_t>& offsets = out.offsets;
+  offsets.assign(n + 1, 0);
+  forEachArc([&](std::uint32_t key, std::uint32_t value) {
+    DYNBCAST_ASSERT_MSG(key < n && value < n, "sparse arc out of range");
+    if (key != value) ++offsets[key + 1];
+  });
+  for (std::size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
+  out.targets.resize(offsets[n]);
+  forEachArc([&](std::uint32_t key, std::uint32_t value) {
+    if (key != value) out.targets[offsets[key]++] = value;
+  });
+  // The fill advanced each row start to its end, i.e. the next row's
+  // start; shift back by one row.
+  for (std::size_t i = n; i > 0; --i) offsets[i] = offsets[i - 1];
+  offsets[0] = 0;
+}
+
+}  // namespace
+
+SparseRound SparseRound::fromArcs(std::size_t n, const std::vector<Arc>& arcs) {
+  SparseRound out;
+  fillCsr(n, out, [&](auto&& emit) {
+    for (const auto& [src, dst] : arcs) emit(src, dst);
+  });
+  return out;
+}
+
+SparseRound SparseRound::fromGraph(const BitMatrix& g) {
+  SparseRound out;
+  out.n = g.dim();
+  out.offsets.reserve(out.n + 1);
+  out.offsets.push_back(0);
+  for (std::size_t x = 0; x < out.n; ++x) {
+    const DynBitset& row = g.row(x);
+    const std::uint64_t* words = row.wordData();
+    for (std::size_t wi = 0; wi < row.wordCount(); ++wi) {
+      std::uint64_t w = words[wi];
+      while (w != 0) {
+        const std::size_t y =
+            wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
+        w &= w - 1;
+        if (y != x) out.targets.push_back(static_cast<std::uint32_t>(y));
+      }
+    }
+    out.offsets.push_back(static_cast<std::uint32_t>(out.targets.size()));
+  }
+  return out;
+}
+
 FrontierSim::FrontierSim(std::size_t n) : n_(n) {
   DYNBCAST_ASSERT_MSG(n >= 1, "FrontierSim needs at least one process");
   DYNBCAST_ASSERT_MSG(
@@ -80,35 +139,30 @@ void FrontierSim::applyEdges(const SparseRound& round) {
   // delta path needs last round's additions.
   const bool usesDelta = round.sameAsPrevious && round_ > 0;
 
-  // Bucket arcs by destination (counting sort into a CSR layout).
-  arcOffsets_.assign(n_ + 1, 0);
-  for (const auto& [src, dst] : round.arcs) {
-    DYNBCAST_ASSERT_MSG(src < n_ && dst < n_, "sparse arc out of range");
-    if (src == dst) continue;  // self-loops are implicit
-    ++arcOffsets_[dst + 1];
-  }
-  for (std::size_t i = 1; i <= n_; ++i) arcOffsets_[i] += arcOffsets_[i - 1];
-  arcSrcs_.resize(arcOffsets_[n_]);
-  for (const auto& [src, dst] : round.arcs) {
-    if (src == dst) continue;
-    arcSrcs_[arcOffsets_[dst]++] = src;
-  }
-  // After the fill, arcOffsets_[y] is the END of y's bucket and the
-  // start is arcOffsets_[y - 1] (0 for y == 0).
+  DYNBCAST_ASSERT_MSG(round.offsets.size() == n_ + 1,
+                      "sparse round has no row offsets");
+  // Bucket arcs by destination: the transpose of the source-major CSR.
+  fillCsr(n_, inArcs_, [&](auto&& emit) {
+    for (std::uint32_t x = 0; x < n_; ++x) {
+      for (std::uint32_t k = round.offsets[x]; k < round.offsets[x + 1]; ++k) {
+        emit(round.targets[k], x);
+      }
+    }
+  });
 
   // Pass 1: read-only over all rows — compute each destination's
   // additions from start-of-round source sets (or last-round deltas when
   // the arc set persisted).
   touched_.clear();
   for (std::size_t y = 0; y < n_; ++y) {
-    const std::size_t begin = y == 0 ? 0 : arcOffsets_[y - 1];
-    const std::size_t end = arcOffsets_[y];
+    const std::size_t begin = inArcs_.offsets[y];
+    const std::size_t end = inArcs_.offsets[y + 1];
     pendingFull_[y] = 0;
     if (begin == end || rows_[y].full) continue;
     bool srcFull = false;
     candidateBuf_.clear();
     for (std::size_t k = begin; k < end; ++k) {
-      const std::uint32_t x = arcSrcs_[k];
+      const std::uint32_t x = inArcs_.targets[k];
       if (usesDelta) {
         if (deltaFull_[x]) {
           srcFull = true;
@@ -183,38 +237,19 @@ void FrontierSim::applyEdges(const SparseRound& round) {
 }
 
 void FrontierSim::applyTree(const RootedTree& tree) {
-  scratchRound_.n = n_;
-  scratchRound_.sameAsPrevious = false;
-  scratchRound_.arcs.clear();
-  for (std::size_t v = 0; v < n_; ++v) {
-    if (v == tree.root()) continue;
-    scratchRound_.arcs.emplace_back(
-        static_cast<std::uint32_t>(tree.parent(v)),
-        static_cast<std::uint32_t>(v));
-  }
+  DYNBCAST_ASSERT_MSG(tree.size() == n_, "tree has the wrong size");
+  fillCsr(n_, scratchRound_, [&](auto&& emit) {
+    for (std::size_t v = 0; v < n_; ++v) {
+      emit(static_cast<std::uint32_t>(tree.parent(v)),
+           static_cast<std::uint32_t>(v));
+    }
+  });
   applyEdges(scratchRound_);
 }
 
 void FrontierSim::applyGraph(const BitMatrix& g) {
   DYNBCAST_ASSERT_MSG(g.dim() == n_, "graph has the wrong dimension");
-  scratchRound_.n = n_;
-  scratchRound_.sameAsPrevious = false;
-  scratchRound_.arcs.clear();
-  for (std::size_t x = 0; x < n_; ++x) {
-    const DynBitset& row = g.row(x);
-    const std::uint64_t* words = row.wordData();
-    for (std::size_t wi = 0; wi < row.wordCount(); ++wi) {
-      std::uint64_t w = words[wi];
-      while (w != 0) {
-        const std::size_t y =
-            wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
-        w &= w - 1;
-        if (y == x) continue;
-        scratchRound_.arcs.emplace_back(static_cast<std::uint32_t>(x),
-                                        static_cast<std::uint32_t>(y));
-      }
-    }
-  }
+  scratchRound_ = SparseRound::fromGraph(g);
   applyEdges(scratchRound_);
 }
 
@@ -275,11 +310,13 @@ namespace {
 /// Serves round t (1-based) from a contiguous cache when it fits the arc
 /// budget, else by replaying the source from reset() — the latter keeps
 /// the mode exact with O(n) memory at the price of O(t) regeneration per
-/// backward step.
+/// backward step. The source writes each new round straight into its
+/// cache slot; rounds past the budget go to one reused spare slot.
 class RoundReplayer {
  public:
-  RoundReplayer(SparseRoundSource& source, std::size_t budgetArcs)
-      : source_(source), budgetArcs_(budgetArcs) {}
+  RoundReplayer(std::size_t n, SparseRoundSource& source,
+                std::size_t budgetArcs)
+      : n_(n), source_(source), budgetArcs_(budgetArcs) {}
 
   const SparseRound& round(std::size_t t) {
     DYNBCAST_ASSERT_MSG(t >= 1, "rounds are 1-based");
@@ -288,21 +325,24 @@ class RoundReplayer {
       source_.reset();
       generated_ = 0;
     }
-    const SparseRound* last = nullptr;
     while (generated_ < t) {
-      last = &source_.next();
+      const bool toCache = caching_ && generated_ == cache_.size();
+      SparseRound& slot = toCache ? cache_.emplace_back() : spare_;
+      source_.next(slot);
+      DYNBCAST_ASSERT_MSG(slot.n == n_ && slot.offsets.size() == n_ + 1,
+                          "round source emitted a malformed round");
       ++generated_;
       ++totalGenerated_;
-      if (caching_ && generated_ == cache_.size() + 1) {
-        if (cachedArcs_ + last->arcs.size() <= budgetArcs_) {
-          cache_.push_back(*last);
-          cachedArcs_ += last->arcs.size();
-        } else {
-          caching_ = false;
-        }
+      if (!toCache) continue;
+      if (cachedArcs_ + slot.arcCount() <= budgetArcs_) {
+        cachedArcs_ += slot.arcCount();
+      } else {
+        spare_ = std::move(slot);
+        cache_.pop_back();
+        caching_ = false;
       }
     }
-    return t <= cache_.size() ? cache_[t - 1] : *last;
+    return t <= cache_.size() ? cache_[t - 1] : spare_;
   }
 
   [[nodiscard]] std::size_t totalGenerated() const noexcept {
@@ -310,9 +350,11 @@ class RoundReplayer {
   }
 
  private:
+  std::size_t n_;
   SparseRoundSource& source_;
   std::size_t budgetArcs_;
   std::vector<SparseRound> cache_;
+  SparseRound spare_;
   std::size_t cachedArcs_ = 0;
   bool caching_ = true;
   std::size_t generated_ = 0;       // rounds pulled since the last reset
@@ -360,15 +402,19 @@ std::size_t forwardCompletionRound(std::size_t n,
     const SparseRound& g = rounds.round(t);
     std::copy(cover.begin(), cover.end(), prev.begin());
     bool done = false;
-    for (const auto& [x, y] : g.arcs) {
-      if (x == y) continue;
-      std::uint64_t nb = prev[x] & ~cover[y];
-      if (nb == 0) continue;
-      cover[y] |= nb;
-      while (nb != 0) {
-        const auto j = static_cast<std::size_t>(std::countr_zero(nb));
-        nb &= nb - 1;
-        if (++count[j] == n) done = true;
+    for (std::size_t x = 0; x < n; ++x) {
+      const std::uint64_t px = prev[x];
+      if (px == 0) continue;  // x has no sampled source to pass on
+      for (std::uint32_t k = g.offsets[x]; k < g.offsets[x + 1]; ++k) {
+        const std::uint32_t y = g.targets[k];
+        std::uint64_t nb = px & ~cover[y];
+        if (nb == 0) continue;
+        cover[y] |= nb;
+        while (nb != 0) {
+          const auto j = static_cast<std::size_t>(std::countr_zero(nb));
+          nb &= nb - 1;
+          if (++count[j] == n) done = true;
+        }
       }
     }
     if (done) return t;
@@ -388,9 +434,12 @@ void backwardReach(std::size_t t, const std::vector<std::uint32_t>& targets,
   for (std::size_t s = t; s >= 1; --s) {
     const SparseRound& g = rounds.round(s);
     std::copy(back.begin(), back.end(), prev.begin());
-    for (const auto& [x, y] : g.arcs) {
-      if (x == y) continue;
-      back[x] |= prev[y];
+    for (std::size_t x = 0; x < back.size(); ++x) {
+      std::uint64_t reach = 0;
+      for (std::uint32_t k = g.offsets[x]; k < g.offsets[x + 1]; ++k) {
+        reach |= prev[g.targets[k]];
+      }
+      back[x] |= reach;
     }
   }
 }
@@ -460,7 +509,7 @@ FrontierTStarResult runFrontierTStar(std::size_t n, SparseRoundSource& source,
     return result;
   }
   source.reset();
-  RoundReplayer rounds(source, options.cacheBudgetArcs);
+  RoundReplayer rounds(n, source, options.cacheBudgetArcs);
   std::size_t samples = std::clamp<std::size_t>(options.samples, 1, 64);
   if (n <= 64) samples = n;
   Rng rng(options.sampleSeed ^ 0x5bf03635f0a3d7c5ull);

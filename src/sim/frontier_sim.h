@@ -2,8 +2,9 @@
 //
 // The dense BroadcastSim stores the heard-of matrix as n bitset rows —
 // O(n²) bits per instance, which caps scenarios near n ≈ 10⁴. This file
-// is the other half of the backend pair: rounds are adjacency lists
-// (SparseRound), state is per-node sorted id vectors, and broadcast
+// is the other half of the backend pair: rounds are source-major CSR
+// adjacency (SparseRound: n + 1 row offsets plus one 4-byte target per
+// arc), state is per-node sorted id vectors, and broadcast
 // advances as frontier propagation — each round costs O(Σ_{(x,y)∈G}
 // |Heard(x)|) set-merge work instead of O(n²/64) bit-ops, which wins
 // exactly when the heard sets (or the round graphs) are sparse.
@@ -29,8 +30,9 @@
 //     pins t* exactly, with each probe answered by a backward
 //     word-parallel over-approximation (candidates reaching all sampled
 //     targets ⊇ the true broadcasters) refined by forward certification
-//     of candidate batches. Memory is O(n + cached round arcs): this is
-//     what unlocks n = 10⁶.
+//     of candidate batches. Memory is O(n + cached round arcs), and each
+//     round is generated straight into its cache slot, so a cached arc
+//     costs 4 bytes and is stored once: this is what unlocks n = 10⁶.
 //
 // Layering: sim depends only on graph/tree/support, so round sequences
 // arrive through the SparseRoundSource interface; the DynamicsModel
@@ -49,18 +51,38 @@
 
 namespace dynbcast {
 
-/// One round's communication graph as an arc list. Self-loops are
-/// implicit (the model never forgets), so arcs with src == dst are
-/// ignored by the consumers.
+/// One round's communication graph as a source-major CSR: the arcs out
+/// of x are (x, targets[k]) for k in [offsets[x], offsets[x + 1]), and
+/// each means "the target hears x this round". Self-loops are implicit
+/// (the model never forgets) and never stored. Targets within a row need
+/// not be sorted or distinct; every consumer is order-insensitive.
 struct SparseRound {
+  using Arc = std::pair<std::uint32_t, std::uint32_t>;  ///< (src, dst)
+
   std::size_t n = 0;
   /// True when this round's arc set is identical to the previous round's
   /// (e.g. t-interval holding a tree for T rounds). FrontierSim then
   /// propagates only last-round deltas along each arc — sound because a
   /// persisting arc (x, y) already delivered Heard_{t-1}(x) to y.
   bool sameAsPrevious = false;
-  /// (src, dst): dst hears src this round.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> arcs;
+  /// n + 1 ascending row starts; offsets[n] == targets.size().
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> targets;
+
+  [[nodiscard]] std::size_t arcCount() const noexcept {
+    return targets.size();
+  }
+
+  /// Counting-sort builder for producers that emit arcs in any order
+  /// (t-interval trees, hub arcs, tests): rows keep their arcs in input
+  /// order; self-loops are dropped.
+  [[nodiscard]] static SparseRound fromArcs(std::size_t n,
+                                            const std::vector<Arc>& arcs);
+
+  /// The off-diagonal arcs of a dense graph, rows ascending.
+  [[nodiscard]] static SparseRound fromGraph(const BitMatrix& g);
+
+  bool operator==(const SparseRound&) const = default;
 };
 
 /// A replayable stream of round graphs for the t*-only mode. reset()
@@ -70,9 +92,10 @@ class SparseRoundSource {
  public:
   virtual ~SparseRoundSource() = default;
   virtual void reset() = 0;
-  /// The next round's graph; the reference stays valid until the
-  /// following next() or reset().
-  virtual const SparseRound& next() = 0;
+  /// Writes the next round's graph into `out`, replacing its contents
+  /// (its buffers may be reused). The t*-mode passes its cache slot, so
+  /// a cached round is generated in place and never copied.
+  virtual void next(SparseRound& out) = 0;
 };
 
 /// Exact sparse mirror of BroadcastSim (see file comment).
@@ -88,10 +111,10 @@ class FrontierSim {
   void applyTree(const RootedTree& tree);
 
   /// One round along an arbitrary reflexive graph; dense convenience for
-  /// cross-validation (extracts the arc list, then applyEdges).
+  /// cross-validation (extracts the CSR, then applyEdges).
   void applyGraph(const BitMatrix& g);
 
-  /// One round along an explicit arc list — the native sparse path.
+  /// One round along an explicit CSR round — the native sparse path.
   void applyEdges(const SparseRound& round);
 
   /// |Heard(y)|; O(1).
@@ -157,9 +180,9 @@ class FrontierSim {
   std::vector<char> deltaFull_;
   std::vector<std::uint32_t> deltaTouched_;
 
-  // Reused per-round scratch (allocation-free after warmup).
-  std::vector<std::uint32_t> arcOffsets_;
-  std::vector<std::uint32_t> arcSrcs_;
+  // Reused per-round scratch (allocation-free after warmup). inArcs_ is
+  // the round transposed: row y lists the sources y hears.
+  SparseRound inArcs_;
   std::vector<std::uint32_t> candidateBuf_;
   std::vector<std::uint32_t> mergeBuf_;
   std::vector<std::vector<std::uint32_t>> addBuf_;
@@ -179,9 +202,9 @@ struct FrontierTStarOptions {
   std::uint64_t sampleSeed = 0;
   /// Sampled forward sources / backward targets, clamped to [1, 64].
   std::size_t samples = 64;
-  /// Round-graph cache budget in arcs (~8 bytes each). Beyond it the
-  /// binary-search probes replay rounds through source.reset() instead —
-  /// slower, still exact.
+  /// Round-graph cache budget in arcs (4 bytes each, plus 4(n + 1) bytes
+  /// of row offsets per cached round). Beyond it the binary-search probes
+  /// replay rounds through source.reset() instead — slower, still exact.
   std::size_t cacheBudgetArcs = std::size_t(1) << 27;
 };
 

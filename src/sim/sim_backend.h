@@ -4,10 +4,11 @@
 // representation tuned to a different regime:
 //
 //   * BroadcastSim      — dense heard-of bit matrix, the fast reference
-//   * ProcessSim        — literal message objects, the executable spec
 //   * FrontierSim       — sparse per-node id vectors for n up to 10⁶
 //   * BatchBroadcastSim — lane-interleaved SoA planes advancing a whole
 //                         replicate batch in lockstep
+//   * ProcessSim        — literal message objects, the executable spec;
+//                         test-only (tests/process_sim.h)
 //
 // They grew the same public surface by convention; this concept makes
 // the convention a compile-time contract (conformance is static_asserted

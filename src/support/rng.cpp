@@ -1,7 +1,5 @@
 #include "src/support/rng.h"
 
-#include <bit>
-
 namespace dynbcast {
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
@@ -17,18 +15,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& s : s_) s = splitmix64(sm);
   // xoshiro256** must not start from the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {
@@ -53,16 +39,6 @@ std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) noexcept {
     return static_cast<std::int64_t>((*this)());
   }
   return lo + static_cast<std::int64_t>(uniform(span));
-}
-
-double Rng::uniformReal() noexcept {
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniformReal() < p;
 }
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {

@@ -5,6 +5,7 @@
 // every simulation, adversary, and bench is reproducible from its seed.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -28,8 +29,19 @@ class Rng {
     return ~static_cast<result_type>(0);
   }
 
-  /// Next raw 64-bit value.
-  result_type operator()() noexcept;
+  /// Next raw 64-bit value. Inline (with uniformReal and chance) so the
+  /// per-arc draws of the sparse generators compile to straight-line code.
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). Precondition: bound > 0.
   [[nodiscard]] std::uint64_t uniform(std::uint64_t bound) noexcept;
@@ -39,10 +51,17 @@ class Rng {
                                         std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniformReal() noexcept;
+  [[nodiscard]] double uniformReal() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
-  /// Bernoulli trial with probability p (clamped to [0,1]).
-  [[nodiscard]] bool chance(double p) noexcept;
+  /// Bernoulli trial with probability p (clamped to [0,1]); draws
+  /// nothing when p <= 0 or p >= 1.
+  [[nodiscard]] bool chance(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniformReal() < p;
+  }
 
   /// A uniformly random permutation of {0, …, n−1}.
   [[nodiscard]] std::vector<std::size_t> permutation(std::size_t n);

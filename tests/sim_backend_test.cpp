@@ -14,11 +14,11 @@
 #include "src/sim/batch_sim.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/sim/frontier_sim.h"
-#include "src/sim/process_sim.h"
 #include "src/sim/sim_backend.h"
 #include "src/support/rng.h"
 #include "src/tree/generators.h"
 #include "src/tree/rooted_tree.h"
+#include "tests/process_sim.h"
 
 namespace dynbcast {
 

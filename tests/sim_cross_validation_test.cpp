@@ -16,11 +16,11 @@
 #include "src/engine/experiment_engine.h"
 #include "src/sim/broadcast_sim.h"
 #include "src/sim/frontier_sim.h"
-#include "src/sim/process_sim.h"
 #include "src/support/rng.h"
 #include "src/tree/constrained.h"
 #include "src/tree/families.h"
 #include "src/tree/generators.h"
+#include "tests/process_sim.h"
 
 namespace dynbcast {
 namespace {

@@ -30,18 +30,21 @@ namespace {
 
 [[nodiscard]] SparseRound randomArcRound(std::size_t n, std::size_t arcs,
                                          Rng& rng) {
-  SparseRound round;
-  round.n = n;
+  std::vector<SparseRound::Arc> list;
   for (std::size_t i = 0; i < arcs; ++i) {
-    round.arcs.emplace_back(static_cast<std::uint32_t>(rng.uniform(n)),
-                            static_cast<std::uint32_t>(rng.uniform(n)));
+    list.emplace_back(static_cast<std::uint32_t>(rng.uniform(n)),
+                      static_cast<std::uint32_t>(rng.uniform(n)));
   }
-  return round;
+  return SparseRound::fromArcs(n, list);
 }
 
 [[nodiscard]] BitMatrix denseFromRound(const SparseRound& round) {
   BitMatrix g = BitMatrix::identity(round.n);
-  for (const auto& [src, dst] : round.arcs) g.set(src, dst);
+  for (std::size_t x = 0; x < round.n; ++x) {
+    for (std::uint32_t k = round.offsets[x]; k < round.offsets[x + 1]; ++k) {
+      g.set(x, round.targets[k]);
+    }
+  }
   return g;
 }
 
@@ -145,16 +148,7 @@ TEST(FrontierSimTest, FullCollapseKeepsCountersExact) {
   // the implicit full representation and every counter must still be
   // exact afterwards.
   const std::size_t n = 40;
-  SparseRound complete;
-  complete.n = n;
-  for (std::size_t x = 0; x < n; ++x) {
-    for (std::size_t y = 0; y < n; ++y) {
-      if (x != y) {
-        complete.arcs.emplace_back(static_cast<std::uint32_t>(x),
-                                   static_cast<std::uint32_t>(y));
-      }
-    }
-  }
+  const SparseRound complete = SparseRound::fromGraph(BitMatrix::full(n));
   FrontierSim frontier(n);
   frontier.applyEdges(complete);
   EXPECT_TRUE(frontier.broadcastDone());
@@ -219,10 +213,9 @@ class VectorRoundSource final : public SparseRoundSource {
   explicit VectorRoundSource(std::vector<SparseRound> rounds)
       : rounds_(std::move(rounds)) {}
   void reset() override { next_ = 0; }
-  const SparseRound& next() override {
-    const SparseRound& round = rounds_[next_ % rounds_.size()];
+  void next(SparseRound& out) override {
+    out = rounds_[next_ % rounds_.size()];
     ++next_;
-    return round;
   }
 
  private:
@@ -281,9 +274,7 @@ TEST(FrontierTStarTest, ReportsIncompleteAtCapOnSilentNetwork) {
   // Arc-free rounds never spread anything: for n >= 2 broadcast cannot
   // complete, and the result must say cap/incomplete, not loop or lie.
   const std::size_t n = 80;
-  SparseRound silent;
-  silent.n = n;
-  VectorRoundSource source({silent});
+  VectorRoundSource source({SparseRound::fromArcs(n, {})});
   FrontierTStarOptions options;
   options.maxRounds = 25;
   const FrontierTStarResult result = runFrontierTStar(n, source, options);
@@ -348,9 +339,7 @@ TEST(FrontierTStarTest, SampleSeedOnlyAffectsPerformance) {
 }
 
 TEST(FrontierTStarTest, SingleProcessCompletesImmediately) {
-  SparseRound empty;
-  empty.n = 1;
-  VectorRoundSource source({empty});
+  VectorRoundSource source({SparseRound::fromArcs(1, {})});
   FrontierTStarOptions options;
   options.maxRounds = 10;
   const FrontierTStarResult result = runFrontierTStar(1, source, options);
